@@ -20,8 +20,8 @@ from .explorer import (
     relax_program, run_single, validate_trace,
 )
 from .machine import (
-    CLOSED, OPEN, Configuration, FileStore, canonical_key, classify,
-    initial_config, is_final, load_fs_spec, make_configuration,
+    CLOSED, OPEN, Configuration, FileStore, canonical_key, initial_config,
+    is_final, load_fs_spec, make_configuration,
 )
 from .report import Report, SCHEMA
 from .semantics import (
@@ -43,7 +43,7 @@ __all__ = [
     "ReadMode", "Report", "RuleInstance", "SCHEMA", "Safe",
     "SearchBoundError", "SpecError", "Trace", "UNIQUE", "Unique", "Unknown",
     "UnknownFileError", "Unsafe", "Verdict", "atoms_of", "canonical_key",
-    "classify", "embed_trace", "enumerate_interleavings", "eval_phi",
+    "embed_trace", "enumerate_interleavings", "eval_phi",
     "explore", "initial_config", "is_final", "load_fs_spec",
     "make_configuration", "make_program", "normal_form_traces",
     "oracle_explore", "parse_program", "pretty_print",

@@ -177,14 +177,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_relax(args)
-    except (ParseError, ModeError, SpecError, MissingFileError) as exc:
-        print(f"filesafe: {exc}", file=sys.stderr)
-        return 64
-    except OSError as exc:
-        print(f"filesafe: {exc}", file=sys.stderr)
-        return 64
-    except ValueError as exc:
-        # Bounds validation rejects nonsensical limits.
+    # ValueError: Bounds validation rejects nonsensical limits.
+    except (ParseError, ModeError, SpecError, MissingFileError, OSError, ValueError) as exc:
         print(f"filesafe: {exc}", file=sys.stderr)
         return 64
     except FileSafeError as exc:

@@ -16,7 +16,7 @@ positions back through the oracle read.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import InvalidTraceError, ModeError, SearchBoundError
@@ -88,27 +88,42 @@ def explore(
     explored within bounds and every normal form was final.  Hitting any
     bound without finding a stuck state gives Unknown.
     """
-    key0 = canonical_key(c0)
-    # key -> (parent key, rule instance, configuration, depth)
-    visited: dict[str, tuple[str | None, RuleInstance | None, Configuration, int]] = {
-        key0: (None, None, c0, 0),
-    }
-    queue: deque[str] = deque([key0])
+    visited: dict[str, tuple[str | None, RuleInstance | None, Configuration, int]] = {}
+    cut: Counter[str] = Counter()
     normal_forms = 0
-    clipped: str | None = None
-    frontier = 0
+    for key, config, final in _bfs(c0, bounds, visited, cut, read_mode, truthy):
+        if not final:
+            return Unsafe(witness=_backtrack(visited, key), stuck=config)
+        normal_forms += 1
+    if cut:
+        exhausted = EXHAUSTED_STATES if cut[EXHAUSTED_STATES] else EXHAUSTED_STEPS
+        return Unknown(exhausted=exhausted, frontier=sum(cut.values()))
+    return Safe(normal_forms=normal_forms, states_visited=len(visited))
+
+
+def _bfs(c0, bounds, visited, cut, read_mode, truthy):
+    """Breadth-first search of the configuration graph, deduplicated by key.
+
+    Yields (key, configuration, is final) for each normal form as it is
+    dequeued.  Fills `visited` with key -> (parent key, rule instance,
+    configuration, depth) for every admitted state, and counts in `cut`,
+    by bound name, the states whose expansion a bound cut off.
+    """
+    key0 = canonical_key(c0)
+    visited[key0] = (None, None, c0, 0)
+    queue: deque[str] = deque([key0])
     while queue:
         key = queue.popleft()
         _, _, config, depth = visited[key]
         if is_final(config):
-            normal_forms += 1
+            yield key, config, True
             continue
         successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
         if not successors:
-            return Unsafe(witness=_backtrack(visited, key), stuck=config)
+            yield key, config, False
+            continue
         if depth >= bounds.max_steps_per_path:
-            clipped = clipped or EXHAUSTED_STEPS
-            frontier += 1
+            cut[EXHAUSTED_STEPS] += 1
             continue
         truncated = False
         for rule_instance, succ in successors:
@@ -116,16 +131,12 @@ def explore(
             if succ_key in visited:
                 continue
             if len(visited) >= bounds.max_states:
-                clipped = EXHAUSTED_STATES
                 truncated = True
                 continue
             visited[succ_key] = (key, rule_instance, succ, depth + 1)
             queue.append(succ_key)
         if truncated:
-            frontier += 1
-    if clipped is not None:
-        return Unknown(exhausted=clipped, frontier=frontier)
-    return Safe(normal_forms=normal_forms, states_visited=len(visited))
+            cut[EXHAUSTED_STATES] += 1
 
 
 def _backtrack(visited, key) -> Trace:
@@ -150,26 +161,10 @@ def reachable_normal_forms(
     Raises SearchBoundError if the graph does not fit in the bounds, so
     a truncated answer can never be mistaken for the real one.
     """
-    key0 = canonical_key(c0)
-    seen = {key0}
-    queue = deque([(c0, 0)])
-    out = []
-    while queue:
-        config, depth = queue.popleft()
-        successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
-        if not successors:
-            out.append(config)
-            continue
-        if depth >= bounds.max_steps_per_path:
-            raise SearchBoundError("step bound hit while enumerating normal forms")
-        for _, succ in successors:
-            key = canonical_key(succ)
-            if key in seen:
-                continue
-            if len(seen) >= bounds.max_states:
-                raise SearchBoundError("state bound hit while enumerating normal forms")
-            seen.add(key)
-            queue.append((succ, depth + 1))
+    cut: Counter[str] = Counter()
+    out = [config for _, config, _ in _bfs(c0, bounds, {}, cut, read_mode, truthy)]
+    if cut:
+        raise SearchBoundError(f"{', '.join(cut)} bound hit while enumerating normal forms")
     return out
 
 

@@ -277,19 +277,11 @@ def initial_config(
     )
 
 
-FINAL = "final"
-NONFINAL = "nonfinal"
-
-
 def is_final(config: Configuration) -> bool:
     """Final means the control is exactly unit or a single value."""
     if len(config.control) != 1:
         return False
     return isinstance(config.control[0], (Unit, Value))
-
-
-def classify(config: Configuration) -> str:
-    return FINAL if is_final(config) else NONFINAL
 
 
 def canonical_key(config: Configuration) -> str:

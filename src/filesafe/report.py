@@ -9,14 +9,17 @@ frames to keep traces readable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from operator import attrgetter, itemgetter
+from typing import get_origin, get_type_hints
 
 from .errors import SpecError
 from .machine import (
     Configuration, Ctrl, FileStore, HoleAssign, HoleIf, HoleOpLeft,
     HoleOpRight, HoleRead, Unit, Value, make_configuration,
 )
-from .semantics import ForkCount, Interleave, OraclePos, RuleInstance, UNIQUE, Unique
+from .semantics import ForkCount, Interleave, OraclePos, RuleInstance, Unique
 from .syntax import (
     And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
     Open, Close, Or, ReadAt, ReadND, Seq, Skip, Stmt, Var, While,
@@ -28,153 +31,158 @@ SCHEMA = "filesafe-report/1"
 
 
 # ---------------------------------------------------------------------------
-# Nodes
+# Nodes, frames and choices
+#
+# Syntax nodes, control frames and rule choices share one encoding: an
+# object whose first key is the tag, then one key per dataclass field in
+# declaration order, with tuples written as lists.  Two exceptions keep
+# the schema's names: `then_body`/`else_body` are written `then`/`else`,
+# and a `Var` field (the assignment target) is written as the bare name.
 
-def node_to_obj(node) -> dict:
-    match node:
-        case IntLit(n):
-            return {"node": "int", "n": n}
-        case Var(name):
-            return {"node": "var", "name": name}
-        case BinOp(op, left, right):
-            return {"node": "binop", "op": op,
-                    "left": node_to_obj(left), "right": node_to_obj(right)}
-        case And(left, right):
-            return {"node": "and",
-                    "left": node_to_obj(left), "right": node_to_obj(right)}
-        case Or(left, right):
-            return {"node": "or",
-                    "left": node_to_obj(left), "right": node_to_obj(right)}
-        case Assign(Var(name), value):
-            return {"node": "assign", "target": name, "value": node_to_obj(value)}
-        case If(cond, then_body, else_body):
-            return {"node": "if", "cond": node_to_obj(cond),
-                    "then": node_to_obj(then_body), "else": node_to_obj(else_body)}
-        case While(cond, body):
-            return {"node": "while",
-                    "cond": node_to_obj(cond), "body": node_to_obj(body)}
-        case Open(f):
-            return {"node": "open", "file": f}
-        case Close(f):
-            return {"node": "close", "file": f}
-        case ReadND(target, pointer, f):
-            return {"node": "read-nd", "target": target,
-                    "pointer": pointer, "file": f}
-        case ReadAt(target, f, pos):
-            return {"node": "read-at", "target": target, "file": f,
-                    "pos": node_to_obj(pos)}
-        case Skip():
-            return {"node": "skip"}
-        case AtomStmt(atom):
-            return {"node": "stmt", "atom": node_to_obj(atom)}
-        case Seq(first, second):
-            return {"node": "seq",
-                    "first": node_to_obj(first), "second": node_to_obj(second)}
-        case Fork(branches):
-            return {"node": "fork", "branches": [node_to_obj(b) for b in branches]}
-        case ForkFor(body):
-            return {"node": "forkfor", "body": node_to_obj(body)}
-        case ForkIf(arms):
-            return {"node": "forkif", "arms": [
-                [node_to_obj(guard), node_to_obj(s)] for guard, s in arms
-            ]}
-    raise TypeError(f"not serializable: {node!r}")
+_TAGS = {
+    "node": {
+        IntLit: "int", Var: "var", BinOp: "binop", And: "and", Or: "or",
+        Assign: "assign", If: "if", While: "while", Open: "open",
+        Close: "close", ReadND: "read-nd", ReadAt: "read-at", Skip: "skip",
+        AtomStmt: "stmt", Seq: "seq", Fork: "fork", ForkFor: "forkfor",
+        ForkIf: "forkif",
+    },
+    "frame": {
+        Ctrl: "ctrl", HoleOpRight: "hole-op-right", HoleOpLeft: "hole-op-left",
+        HoleAssign: "hole-assign", HoleIf: "hole-if", HoleRead: "hole-read",
+        Unit: "unit", Value: "value",
+    },
+    "choice": {
+        Unique: "unique", Interleave: "interleave", ForkCount: "fork-count",
+        OraclePos: "oracle-pos",
+    },
+}
+_RENAMED = {"then_body": "then", "else_body": "else"}
 
 
-def node_from_obj(obj: dict):
-    kind = obj["node"]
-    if kind == "int":
-        return IntLit(obj["n"])
-    if kind == "var":
-        return Var(obj["name"])
-    if kind == "binop":
-        return BinOp(obj["op"], node_from_obj(obj["left"]), node_from_obj(obj["right"]))
-    if kind == "and":
-        return And(node_from_obj(obj["left"]), node_from_obj(obj["right"]))
-    if kind == "or":
-        return Or(node_from_obj(obj["left"]), node_from_obj(obj["right"]))
-    if kind == "assign":
-        return Assign(Var(obj["target"]), node_from_obj(obj["value"]))
-    if kind == "if":
-        return If(node_from_obj(obj["cond"]),
-                  node_from_obj(obj["then"]), node_from_obj(obj["else"]))
-    if kind == "while":
-        return While(node_from_obj(obj["cond"]), node_from_obj(obj["body"]))
-    if kind == "open":
-        return Open(obj["file"])
-    if kind == "close":
-        return Close(obj["file"])
-    if kind == "read-nd":
-        return ReadND(obj["target"], obj["pointer"], obj["file"])
-    if kind == "read-at":
-        return ReadAt(obj["target"], obj["file"], node_from_obj(obj["pos"]))
-    if kind == "skip":
-        return Skip()
-    if kind == "stmt":
-        return AtomStmt(node_from_obj(obj["atom"]))
-    if kind == "seq":
-        return Seq(node_from_obj(obj["first"]), node_from_obj(obj["second"]))
-    if kind == "fork":
-        return Fork(tuple(node_from_obj(b) for b in obj["branches"]))
-    if kind == "forkfor":
-        return ForkFor(node_from_obj(obj["body"]))
-    if kind == "forkif":
-        return ForkIf(tuple(
-            (node_from_obj(guard), node_from_obj(s)) for guard, s in obj["arms"]
-        ))
-    raise SpecError(f"unknown node kind {kind!r}")
+def encode(x) -> dict:
+    """The JSON object of a syntax node, control frame or rule choice."""
+    tag_key, tag, fields_ = _ENCODE[type(x)]
+    obj = {tag_key: tag}
+    for name, key, encode_value in fields_:
+        value = getattr(x, name)
+        obj[key] = value if encode_value is None else encode_value(value)
+    return obj
+
+
+def decode(tag_key: str, obj):
+    """Inverse of `encode` for an object tagged under `tag_key`.
+
+    Raises SpecError where the document's shape is not one `encode`
+    writes: a non-object where an object belongs, an unknown tag, a
+    missing or extra key, or a non-list where a list belongs.  Integers
+    and strings are taken as they are.
+    """
+    try:
+        cls, size, fetch, decoders = _DECODE[tag_key][obj[tag_key]]
+        values = fetch(obj)
+    except (KeyError, TypeError):
+        raise SpecError(_diagnose(tag_key, obj)) from None
+    if len(obj) != size:
+        raise SpecError(_diagnose(tag_key, obj))
+    if decoders:
+        values = list(values)
+        for i, decode_value in decoders:
+            values[i] = decode_value(values[i])
+    return cls(*values)
+
+
+def _diagnose(tag_key: str, obj) -> str:
+    """Why `obj` is not an object that `encode` could have tagged `tag_key`."""
+    if type(obj) is not dict:
+        return f"expected a {tag_key} object, got {obj!r:.80}"
+    tag = obj.get(tag_key)
+    if type(tag) is not str or tag not in _DECODE[tag_key]:
+        return f"unknown {tag_key} {tag!r:.80}"
+    cls = _DECODE[tag_key][tag][0]
+    keys = [tag_key, *(_RENAMED.get(f.name, f.name) for f in fields(cls))]
+    return f"{tag_key} {tag!r} needs keys {keys}, got {list(obj)}"
+
+
+def _fetch(keys):
+    """A function returning the values of `keys` in an object, as a tuple."""
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda obj: (obj[key],)
+    return itemgetter(*keys) if keys else (lambda obj: ())
+
+
+def _field(hint):
+    """(encoder, decoder) of a field of type `hint`; None leaves the value as it is."""
+    if hint is int or hint is str:
+        return None, None
+    if hint is Var:
+        return attrgetter("name"), Var
+    if get_origin(hint) is tuple:
+        return _encode_items, _decode_items
+    return encode, partial(decode, "node")
+
+
+def _encode_items(items: tuple) -> list:
+    return [
+        _encode_items(v) if type(v) is tuple else encode(v) if type(v) in _ENCODE else v
+        for v in items
+    ]
+
+
+def _decode_items(value) -> tuple:
+    # Inside a tuple field every object is a node and every list a tuple.
+    return tuple(
+        _decode_items(v) if type(v) is list else decode("node", v) if type(v) is dict else v
+        for v in _check(value, list, "tuple field")
+    )
+
+
+def _fill_tables():
+    for tag_key, classes in _TAGS.items():
+        for cls, tag in classes.items():
+            hints = get_type_hints(cls)
+            names = [f.name for f in fields(cls)]
+            keys = tuple(_RENAMED.get(name, name) for name in names)
+            codecs = [_field(hints[name]) for name in names]
+            _ENCODE[cls] = (tag_key, tag, tuple(
+                (name, key, enc) for name, key, (enc, _) in zip(names, keys, codecs)
+            ))
+            _DECODE[tag_key][tag] = (
+                cls, len(keys) + 1, _fetch(keys),
+                tuple((i, dec) for i, (_, dec) in enumerate(codecs) if dec is not None),
+            )
+
+
+_ENCODE: dict = {}
+_DECODE: dict = {tag_key: {} for tag_key in _TAGS}
+_fill_tables()
+
+
+def _check(value, kind, what):
+    if type(value) is not kind:
+        json_type = "object" if kind is dict else "array"
+        raise SpecError(f"{what} must be a JSON {json_type}, got {value!r:.80}")
+    return value
+
+
+def _unpack(obj, keys, what):
+    """The values of a JSON object that must have exactly `keys`, in order."""
+    try:
+        if len(_check(obj, dict, what)) == len(keys):
+            return [obj[key] for key in keys]
+    except KeyError:
+        pass
+    raise SpecError(f"{what} needs keys {list(keys)}, got {list(obj)}")
 
 
 # ---------------------------------------------------------------------------
-# Frames and configurations
-
-def frame_to_obj(frame) -> dict:
-    if isinstance(frame, Ctrl):
-        return {"frame": "ctrl", "item": node_to_obj(frame.item)}
-    if isinstance(frame, HoleOpRight):
-        return {"frame": "hole-op-right", "op": frame.op,
-                "right": node_to_obj(frame.right)}
-    if isinstance(frame, HoleOpLeft):
-        return {"frame": "hole-op-left", "left": frame.left, "op": frame.op}
-    if isinstance(frame, HoleAssign):
-        return {"frame": "hole-assign", "target": frame.target}
-    if isinstance(frame, HoleIf):
-        return {"frame": "hole-if", "then": node_to_obj(frame.then_body),
-                "else": node_to_obj(frame.else_body)}
-    if isinstance(frame, HoleRead):
-        return {"frame": "hole-read", "target": frame.target, "file": frame.file}
-    if isinstance(frame, Unit):
-        return {"frame": "unit"}
-    if isinstance(frame, Value):
-        return {"frame": "value", "n": frame.n}
-    raise TypeError(f"not a frame: {frame!r}")
-
-
-def frame_from_obj(obj: dict):
-    kind = obj["frame"]
-    if kind == "ctrl":
-        return Ctrl(node_from_obj(obj["item"]))
-    if kind == "hole-op-right":
-        return HoleOpRight(obj["op"], node_from_obj(obj["right"]))
-    if kind == "hole-op-left":
-        return HoleOpLeft(obj["left"], obj["op"])
-    if kind == "hole-assign":
-        return HoleAssign(obj["target"])
-    if kind == "hole-if":
-        return HoleIf(node_from_obj(obj["then"]), node_from_obj(obj["else"]))
-    if kind == "hole-read":
-        return HoleRead(obj["target"], obj["file"])
-    if kind == "unit":
-        return Unit()
-    if kind == "value":
-        return Value(obj["n"])
-    raise SpecError(f"unknown frame kind {kind!r}")
-
+# Configurations and traces
 
 def config_to_obj(config: Configuration) -> dict:
     return {
         "mode": config.mode.value,
-        "control": [frame_to_obj(f) for f in config.control],
+        "control": [encode(f) for f in config.control],
         "env": {name: value for name, value in config.env},
         "status": {name: st for name, st in config.status},
         "files": {
@@ -184,46 +192,25 @@ def config_to_obj(config: Configuration) -> dict:
     }
 
 
-def config_from_obj(obj: dict) -> Configuration:
-    store = FileStore(tuple(
-        (name, tuple(entry["contents"]), entry["cursor"])
-        for name, entry in sorted(obj["files"].items())
-    ))
-    return make_configuration(
-        control=[frame_from_obj(f) for f in obj["control"]],
-        env=obj["env"],
-        status=obj["status"],
-        store=store,
-        mode=Mode.from_flag(obj["mode"]),
+def config_from_obj(obj) -> Configuration:
+    mode, control, env, status, files = _unpack(
+        obj, ("mode", "control", "env", "status", "files"), "configuration",
     )
-
-
-# ---------------------------------------------------------------------------
-# Choices and traces
-
-def choice_to_obj(choice) -> dict:
-    if isinstance(choice, Unique):
-        return {"choice": "unique"}
-    if isinstance(choice, Interleave):
-        return {"choice": "interleave", "order": [list(p) for p in choice.order]}
-    if isinstance(choice, ForkCount):
-        return {"choice": "fork-count", "k": choice.k}
-    if isinstance(choice, OraclePos):
-        return {"choice": "oracle-pos", "n": choice.n}
-    raise TypeError(f"not a choice: {choice!r}")
-
-
-def choice_from_obj(obj: dict):
-    kind = obj["choice"]
-    if kind == "unique":
-        return UNIQUE
-    if kind == "interleave":
-        return Interleave(tuple((b, a) for b, a in obj["order"]))
-    if kind == "fork-count":
-        return ForkCount(obj["k"])
-    if kind == "oracle-pos":
-        return OraclePos(obj["n"])
-    raise SpecError(f"unknown choice kind {kind!r}")
+    try:
+        mode = Mode(mode)
+    except ValueError:
+        raise SpecError(f"unknown mode {mode!r:.80}") from None
+    entries = []
+    for name, entry in sorted(_check(files, dict, "files").items()):
+        contents, cursor = _unpack(entry, ("contents", "cursor"), f"file {name!r}")
+        entries.append((name, tuple(_check(contents, list, "contents")), cursor))
+    return make_configuration(
+        control=[decode("frame", f) for f in _check(control, list, "control")],
+        env=_check(env, dict, "env"),
+        status=_check(status, dict, "status"),
+        store=FileStore(tuple(entries)),
+        mode=mode,
+    )
 
 
 def trace_to_obj(trace: Trace) -> dict:
@@ -232,7 +219,7 @@ def trace_to_obj(trace: Trace) -> dict:
         "steps": [
             {
                 "rule": rule_instance.rule,
-                "choice": choice_to_obj(rule_instance.choice),
+                "choice": encode(rule_instance.choice),
                 "control_summary": summarize_control(config.control),
                 "config": config_to_obj(config),
             }
@@ -242,17 +229,28 @@ def trace_to_obj(trace: Trace) -> dict:
     }
 
 
-def trace_from_obj(obj: dict) -> Trace:
-    return Trace(
-        start=config_from_obj(obj["start"]),
-        steps=tuple(
-            (
-                RuleInstance(entry["rule"], choice_from_obj(entry["choice"])),
-                config_from_obj(entry["config"]),
-            )
-            for entry in obj["steps"]
-        ),
-        outcome=obj.get("outcome"),
+def trace_from_obj(obj) -> Trace:
+    start, steps, outcome = _trace_parts(obj)
+    return Trace(start=start, steps=tuple(steps), outcome=outcome)
+
+
+def _trace_parts(obj):
+    """The start, a lazy iterator over the steps, and the outcome of a trace.
+
+    Steps decode one at a time, so a caller that formats and drops them
+    never holds the whole decoded trace.
+    """
+    start, steps, outcome = _unpack(obj, ("start", "steps", "outcome"), "trace")
+    return config_from_obj(start), map(_step_from_obj, _check(steps, list, "steps")), outcome
+
+
+def _step_from_obj(entry):
+    rule, choice, _, config = _unpack(
+        entry, ("rule", "choice", "control_summary", "config"), "trace step",
+    )
+    return (
+        RuleInstance(rule, decode("choice", choice)),
+        config_from_obj(config),
     )
 
 
@@ -261,9 +259,7 @@ def trace_from_obj(obj: dict) -> Trace:
 
 def format_frame(frame) -> str:
     if isinstance(frame, Ctrl):
-        if isinstance(frame.item, Stmt):
-            return format_stmt(frame.item)
-        return format_atom(frame.item)
+        return _format_item(frame.item)
     if isinstance(frame, HoleOpRight):
         return f"_ {frame.op} {format_atom(frame.right)}"
     if isinstance(frame, HoleOpLeft):
@@ -271,15 +267,10 @@ def format_frame(frame) -> str:
     if isinstance(frame, HoleAssign):
         return f"{frame.target} = _"
     if isinstance(frame, HoleIf):
-        then_text = (
-            format_stmt(frame.then_body) if isinstance(frame.then_body, Stmt)
-            else format_atom(frame.then_body)
+        return (
+            f"if _ then {_format_item(frame.then_body)} "
+            f"else {_format_item(frame.else_body)}"
         )
-        else_text = (
-            format_stmt(frame.else_body) if isinstance(frame.else_body, Stmt)
-            else format_atom(frame.else_body)
-        )
-        return f"if _ then {then_text} else {else_text}"
     if isinstance(frame, HoleRead):
         return f"{frame.target} = read({frame.file}, _)"
     if isinstance(frame, Unit):
@@ -287,6 +278,10 @@ def format_frame(frame) -> str:
     if isinstance(frame, Value):
         return str(frame.n)
     raise TypeError(f"not a frame: {frame!r}")
+
+
+def _format_item(item) -> str:
+    return format_stmt(item) if isinstance(item, Stmt) else format_atom(item)
 
 
 def summarize_control(control, limit: int = 3) -> str:
@@ -334,34 +329,15 @@ class Report:
     wall_time_ms: float = 0.0
 
     def to_obj(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "verdict": self.verdict,
-            "states": self.states,
-            "normal_forms": self.normal_forms,
-            "witness": self.witness,
-            "exhausted": self.exhausted,
-            "frontier": self.frontier,
-            "bounds": self.bounds,
-            "flags": self.flags,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return {"schema": SCHEMA, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "Report":
-        if obj.get("schema") != SCHEMA:
-            raise SpecError(f"unsupported report schema {obj.get('schema')!r}")
-        return cls(
-            verdict=obj["verdict"],
-            states=obj["states"],
-            normal_forms=obj["normal_forms"],
-            witness=obj["witness"],
-            exhausted=obj["exhausted"],
-            frontier=obj["frontier"],
-            bounds=obj["bounds"],
-            flags=obj["flags"],
-            wall_time_ms=obj["wall_time_ms"],
-        )
+    def from_obj(cls, obj) -> "Report":
+        schema = obj.get("schema") if isinstance(obj, dict) else None
+        if schema != SCHEMA:
+            raise SpecError(f"unsupported report schema {schema!r}")
+        _, *values = _unpack(obj, ["schema", *(f.name for f in fields(cls))], "report")
+        return cls(*values)
 
     def render_text(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -378,14 +354,10 @@ class Report:
             f"{k}={v}" for k, v in self.flags.items()
         ))
         if self.witness is not None:
-            lines.append(f"witness ({len(self.witness['steps'])} steps):")
-            start = config_from_obj(self.witness["start"])
+            start, steps, _ = _trace_parts(self.witness)
+            step_lines = ["  " + format_step(*step) for step in steps]
+            lines.append(f"witness ({len(step_lines)} steps):")
             lines.append(f"  start: {summarize_control(start.control)}")
-            for entry in self.witness["steps"]:
-                rule_instance = RuleInstance(
-                    entry["rule"], choice_from_obj(entry["choice"]),
-                )
-                config = config_from_obj(entry["config"])
-                lines.append("  " + format_step(rule_instance, config))
+            lines.extend(step_lines)
         lines.append(f"wall time: {self.wall_time_ms:.1f} ms")
         return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ from filesafe import (
     SpecError,
     UnknownFileError,
     canonical_key,
-    classify,
     initial_config,
     is_final,
     load_fs_spec,
@@ -20,8 +19,6 @@ from filesafe import (
     parse_program,
 )
 from filesafe.machine import (
-    FINAL,
-    NONFINAL,
     Ctrl,
     FileStore,
     HoleAssign,
@@ -100,13 +97,13 @@ def test_trailing_lone_value_stays():
 # Finality
 
 def test_unit_and_value_are_final():
-    assert is_final(config([])) and classify(config([])) == FINAL
+    assert is_final(config([]))
     assert is_final(config([Ctrl(IntLit(42))]))
 
 
 def test_other_controls_are_not_final():
     c = config([Ctrl(Skip())])
-    assert not is_final(c) and classify(c) == NONFINAL
+    assert not is_final(c)
     assert not is_final(config([Ctrl(IntLit(1)), Ctrl(Skip())]))
 
 

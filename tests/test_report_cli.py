@@ -27,15 +27,13 @@ from filesafe import (
 from filesafe.cli import main
 from filesafe.machine import HoleOpLeft, is_final
 from filesafe.report import (
-    choice_from_obj,
-    choice_to_obj,
     config_from_obj,
     config_to_obj,
+    decode,
+    encode,
     format_choice,
     format_frame,
     format_step,
-    node_from_obj,
-    node_to_obj,
     summarize_control,
     trace_from_obj,
     trace_to_obj,
@@ -52,12 +50,12 @@ B = Bounds(forkfor_max=2)
 def test_every_corpus_body_round_trips():
     for case in CORPUS:
         body = case.program().body
-        assert node_from_obj(node_to_obj(body)) == body, case.name
+        assert decode("node", encode(body)) == body, case.name
 
 
 def test_choice_round_trips():
     for choice in (UNIQUE, Interleave(((0, 0), (1, 0))), ForkCount(2), OraclePos(3)):
-        assert choice_from_obj(choice_to_obj(choice)) == choice
+        assert decode("choice", json.loads(json.dumps(encode(choice)))) == choice
 
 
 def test_configs_along_traces_round_trip():
@@ -99,6 +97,34 @@ def test_report_round_trips():
 def test_unsupported_schema_is_rejected():
     with pytest.raises(SpecError, match="schema"):
         Report.from_obj({"schema": "filesafe-report/999"})
+
+
+def _open_twice_config():
+    return config_to_obj(corpus_case("open_twice").config())
+
+
+def _binop(**keys):
+    return {"node": "binop", "op": "+", **keys}
+
+
+@pytest.mark.parametrize("load", [
+    # A report with every field but the schema missing.
+    lambda: Report.from_obj({"schema": SCHEMA}),
+    # A binop without its left operand.
+    lambda: decode("node", _binop(right={"node": "int", "n": 1})),
+    # A list where a frame object belongs.
+    lambda: config_from_obj({**_open_twice_config(), "control": [["unit"]]}),
+    # An unknown dialect.
+    lambda: config_from_obj({**_open_twice_config(), "mode": "nope"}),
+    # A node with a key its class does not have.
+    lambda: decode("node", {"node": "int", "n": 1, "extra": 0}),
+    # An unknown tag, and a string where a node belongs.
+    lambda: decode("node", {"node": "goto"}),
+    lambda: decode("node", _binop(left="x", right={"node": "int", "n": 1})),
+], ids=["report-keys", "missing-key", "list-node", "mode", "extra-key", "tag", "scalar-node"])
+def test_malformed_documents_raise_spec_error(load):
+    with pytest.raises(SpecError):
+        load()
 
 
 # ---------------------------------------------------------------------------

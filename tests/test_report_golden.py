@@ -14,7 +14,7 @@ import pytest
 
 from filesafe import run_single
 from filesafe.cli import main
-from filesafe.report import trace_to_obj
+from filesafe.report import _TAGS, trace_to_obj
 
 from conftest import CORPUS
 from test_report_cli import check_argv
@@ -145,3 +145,4 @@ def test_golden_traces_cover_every_tag():
         for text in trace_texts(case):
             tags_in(json.loads(text), seen)
     assert seen == TAGS
+    assert TAGS == {(key, tag) for key, classes in _TAGS.items() for tag in classes.values()}
