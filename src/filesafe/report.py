@@ -10,8 +10,7 @@ frames to keep traces readable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index
 from typing import get_origin, get_type_hints
 
 from .errors import SpecError
@@ -73,23 +72,29 @@ def encode(x) -> dict:
 def decode(tag_key: str, obj):
     """Inverse of `encode` for an object tagged under `tag_key`.
 
-    Raises SpecError where the document's shape is not one `encode`
-    writes: a non-object where an object belongs, an unknown tag, a
-    missing or extra key, or a non-list where a list belongs.  Integers
-    and strings are taken as they are.
+    Raises SpecError for anything `encode` cannot have written: a
+    non-object where an object belongs, an unknown tag, a missing or
+    extra key, or a value of the wrong JSON type.
     """
-    try:
-        cls, size, fetch, decoders = _DECODE[tag_key][obj[tag_key]]
-        values = fetch(obj)
-    except (KeyError, TypeError):
-        raise SpecError(_diagnose(tag_key, obj)) from None
-    if len(obj) != size:
+    return _DECODERS[tag_key](obj)
+
+
+def _decoder(tag_key: str, table: dict):
+    """The decode function for objects tagged under `tag_key`.
+
+    `table` maps each tag to the function that builds the object's
+    class and the object's size.
+    """
+    def decode_tagged(obj):
+        try:
+            build, size = table[obj[tag_key]]
+            if len(obj) == size:
+                return build(obj)
+        except (KeyError, TypeError):
+            pass
         raise SpecError(_diagnose(tag_key, obj))
-    if decoders:
-        values = list(values)
-        for i, decode_value in decoders:
-            values[i] = decode_value(values[i])
-    return cls(*values)
+
+    return decode_tagged
 
 
 def _diagnose(tag_key: str, obj) -> str:
@@ -99,28 +104,23 @@ def _diagnose(tag_key: str, obj) -> str:
     tag = obj.get(tag_key)
     if type(tag) is not str or tag not in _DECODE[tag_key]:
         return f"unknown {tag_key} {tag!r:.80}"
-    cls = _DECODE[tag_key][tag][0]
-    keys = [tag_key, *(_RENAMED.get(f.name, f.name) for f in fields(cls))]
-    return f"{tag_key} {tag!r} needs keys {keys}, got {list(obj)}"
-
-
-def _fetch(keys):
-    """A function returning the values of `keys` in an object, as a tuple."""
-    if len(keys) == 1:
-        (key,) = keys
-        return lambda obj: (obj[key],)
-    return itemgetter(*keys) if keys else (lambda obj: ())
+    keys = [tag_key, *_KEYS[tag_key, tag]]
+    if sorted(obj) != sorted(keys):
+        return f"{tag_key} {tag!r} needs keys {keys}, got {list(obj)}"
+    return f"{tag_key} {tag!r} has a value of the wrong type: {obj!r:.80}"
 
 
 def _field(hint):
-    """(encoder, decoder) of a field of type `hint`; None leaves the value as it is."""
-    if hint is int or hint is str:
-        return None, None
+    """(encoder, decoder) of a field of type `hint`; a None encoder copies the value."""
+    if hint is int:
+        return None, index
+    if hint is str:
+        return None, str.__str__  # rejects anything but a string
     if hint is Var:
-        return attrgetter("name"), Var
+        return attrgetter("name"), lambda name: Var(str.__str__(name))
     if get_origin(hint) is tuple:
         return _encode_items, _decode_items
-    return encode, partial(decode, "node")
+    return encode, _DECODERS["node"]
 
 
 def _encode_items(items: tuple) -> list:
@@ -133,9 +133,29 @@ def _encode_items(items: tuple) -> list:
 def _decode_items(value) -> tuple:
     # Inside a tuple field every object is a node and every list a tuple.
     return tuple(
-        _decode_items(v) if type(v) is list else decode("node", v) if type(v) is dict else v
+        _decode_items(v) if type(v) is list else _DECODERS["node"](v) if type(v) is dict else v
         for v in _check(value, list, "tuple field")
     )
+
+
+def _builder(cls, keys, decoders):
+    """A function that builds `cls` from the decoded values of `keys`.
+
+    Spelled out for up to three fields, the most any class has, so that
+    decoding a node costs one call beyond decoding its fields.
+    """
+    if not keys:
+        return lambda obj: cls()
+    if len(keys) == 1:
+        (k0,), (d0,) = keys, decoders
+        return lambda obj: cls(d0(obj[k0]))
+    if len(keys) == 2:
+        (k0, k1), (d0, d1) = keys, decoders
+        return lambda obj: cls(d0(obj[k0]), d1(obj[k1]))
+    if len(keys) == 3:
+        (k0, k1, k2), (d0, d1, d2) = keys, decoders
+        return lambda obj: cls(d0(obj[k0]), d1(obj[k1]), d2(obj[k2]))
+    return lambda obj: cls(*[decode_value(obj[key]) for key, decode_value in zip(keys, decoders)])
 
 
 def _fill_tables():
@@ -148,14 +168,15 @@ def _fill_tables():
             _ENCODE[cls] = (tag_key, tag, tuple(
                 (name, key, enc) for name, key, (enc, _) in zip(names, keys, codecs)
             ))
-            _DECODE[tag_key][tag] = (
-                cls, len(keys) + 1, _fetch(keys),
-                tuple((i, dec) for i, (_, dec) in enumerate(codecs) if dec is not None),
-            )
+            decoders = [dec for _, dec in codecs]
+            _DECODE[tag_key][tag] = (_builder(cls, keys, decoders), len(keys) + 1)
+            _KEYS[tag_key, tag] = keys
 
 
 _ENCODE: dict = {}
 _DECODE: dict = {tag_key: {} for tag_key in _TAGS}
+_KEYS: dict = {}
+_DECODERS = {tag_key: _decoder(tag_key, table) for tag_key, table in _DECODE.items()}
 _fill_tables()
 
 
@@ -205,7 +226,7 @@ def config_from_obj(obj) -> Configuration:
         contents, cursor = _unpack(entry, ("contents", "cursor"), f"file {name!r}")
         entries.append((name, tuple(_check(contents, list, "contents")), cursor))
     return make_configuration(
-        control=[decode("frame", f) for f in _check(control, list, "control")],
+        control=map(_DECODERS["frame"], _check(control, list, "control")),
         env=_check(env, dict, "env"),
         status=_check(status, dict, "status"),
         store=FileStore(tuple(entries)),
@@ -249,7 +270,7 @@ def _step_from_obj(entry):
         entry, ("rule", "choice", "control_summary", "config"), "trace step",
     )
     return (
-        RuleInstance(rule, decode("choice", choice)),
+        RuleInstance(rule, _DECODERS["choice"](choice)),
         config_from_obj(config),
     )
 
