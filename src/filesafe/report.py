@@ -125,7 +125,9 @@ def _field(hint):
 
 def _encode_items(items: tuple) -> list:
     return [
-        _encode_items(v) if type(v) is tuple else encode(v) if type(v) in _ENCODE else v
+        _encode_items(v) if type(v) is tuple
+        else encode(v) if type(v) in _ENCODE
+        else v
         for v in items
     ]
 
@@ -133,7 +135,9 @@ def _encode_items(items: tuple) -> list:
 def _decode_items(value) -> tuple:
     # Inside a tuple field every object is a node and every list a tuple.
     return tuple(
-        _decode_items(v) if type(v) is list else _DECODERS["node"](v) if type(v) is dict else v
+        _decode_items(v) if type(v) is list
+        else _DECODERS["node"](v) if type(v) is dict
+        else v
         for v in _check(value, list, "tuple field")
     )
 
@@ -142,7 +146,8 @@ def _builder(cls, keys, decoders):
     """A function that builds `cls` from the decoded values of `keys`.
 
     Spelled out for up to three fields, the most any class has, so that
-    decoding a node costs one call beyond decoding its fields.
+    decoding a node costs one call beyond decoding its fields.  A class
+    with more fields fails here, at import.
     """
     if not keys:
         return lambda obj: cls()
@@ -152,10 +157,8 @@ def _builder(cls, keys, decoders):
     if len(keys) == 2:
         (k0, k1), (d0, d1) = keys, decoders
         return lambda obj: cls(d0(obj[k0]), d1(obj[k1]))
-    if len(keys) == 3:
-        (k0, k1, k2), (d0, d1, d2) = keys, decoders
-        return lambda obj: cls(d0(obj[k0]), d1(obj[k1]), d2(obj[k2]))
-    return lambda obj: cls(*[decode_value(obj[key]) for key, decode_value in zip(keys, decoders)])
+    (k0, k1, k2), (d0, d1, d2) = keys, decoders
+    return lambda obj: cls(d0(obj[k0]), d1(obj[k1]), d2(obj[k2]))
 
 
 def _fill_tables():
@@ -189,8 +192,9 @@ def _check(value, kind, what):
 
 def _unpack(obj, keys, what):
     """The values of a JSON object that must have exactly `keys`, in order."""
+    _check(obj, dict, what)
     try:
-        if len(_check(obj, dict, what)) == len(keys):
+        if len(obj) == len(keys):
             return [obj[key] for key in keys]
     except KeyError:
         pass
@@ -350,14 +354,14 @@ class Report:
     wall_time_ms: float = 0.0
 
     def to_obj(self) -> dict:
-        return {"schema": SCHEMA, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        return {"schema": SCHEMA, **{name: getattr(self, name) for name in _REPORT_FIELDS}}
 
     @classmethod
     def from_obj(cls, obj) -> "Report":
         schema = obj.get("schema") if isinstance(obj, dict) else None
         if schema != SCHEMA:
             raise SpecError(f"unsupported report schema {schema!r}")
-        _, *values = _unpack(obj, ["schema", *(f.name for f in fields(cls))], "report")
+        _, *values = _unpack(obj, ("schema", *_REPORT_FIELDS), "report")
         return cls(*values)
 
     def render_text(self) -> str:
@@ -382,3 +386,6 @@ class Report:
             lines.extend(step_lines)
         lines.append(f"wall time: {self.wall_time_ms:.1f} ms")
         return "\n".join(lines) + "\n"
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(Report))

@@ -121,7 +121,12 @@ def _binop(**keys):
     # An unknown tag, and a string where a node belongs.
     lambda: decode("node", {"node": "goto"}),
     lambda: decode("node", _binop(left="x", right={"node": "int", "n": 1})),
-], ids=["report-keys", "missing-key", "list-node", "mode", "extra-key", "tag", "scalar-node"])
+    # A string where an integer belongs.
+    lambda: decode("node", {"node": "int", "n": "5"}),
+], ids=[
+    "report-keys", "missing-key", "list-node", "mode", "extra-key", "tag",
+    "scalar-node", "scalar-type",
+])
 def test_malformed_documents_raise_spec_error(load):
     with pytest.raises(SpecError):
         load()
