@@ -6,7 +6,8 @@
 
 `check` exits 0 for safe, 1 for unsafe, 2 for unknown; `run` exits 0 for
 a final run, 1 for stuck, 2 for cutoff.  Usage, parse and spec errors
-exit 64 with a diagnostic on standard error.
+exit 64 and internal errors exit 70, each with a one-line diagnostic on
+standard error.
 """
 
 from __future__ import annotations
@@ -183,6 +184,10 @@ def main(argv=None) -> int:
         return 64
     except FileSafeError as exc:
         print(f"filesafe: {exc}", file=sys.stderr)
+        return 70
+    except Exception as exc:
+        # Last resort, so that no failure exits 1 and reads as "unsafe".
+        print(f"filesafe: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
 
 

@@ -1,8 +1,8 @@
 """Reachability search and verdicts.
 
 `explore` does a breadth-first search of the reachable configuration
-graph with canonical-key deduplication and decides file safety: every
-reachable normal form must be final.  `oracle_explore` answers the same
+graph, deduplicated by configuration equality, and decides file safety:
+every reachable normal form must be final.  `oracle_explore` answers the same
 question by naively unfolding the execution tree with no deduplication
 at all; it exists as an independent cross-check and must never be fused
 with `explore`.
@@ -88,12 +88,12 @@ def explore(
     explored within bounds and every normal form was final.  Hitting any
     bound without finding a stuck state gives Unknown.
     """
-    visited: dict[str, tuple[str | None, RuleInstance | None, Configuration, int]] = {}
+    visited: dict[Configuration, tuple[Configuration | None, RuleInstance | None]] = {}
     cut: Counter[str] = Counter()
     normal_forms = 0
-    for key, config, final in _bfs(c0, bounds, visited, cut, read_mode, truthy):
+    for config, final in _bfs(c0, bounds, visited, cut, read_mode, truthy):
         if not final:
-            return Unsafe(witness=_backtrack(visited, key), stuck=config)
+            return Unsafe(witness=_backtrack(visited, config), stuck=config)
         normal_forms += 1
     if cut:
         exhausted = EXHAUSTED_STATES if cut[EXHAUSTED_STATES] else EXHAUSTED_STEPS
@@ -104,23 +104,22 @@ def explore(
 def _bfs(c0, bounds, visited, cut, read_mode, truthy):
     """Breadth-first search of the configuration graph, deduplicated by key.
 
-    Yields (key, configuration, is final) for each normal form as it is
-    dequeued.  Fills `visited` with key -> (parent key, rule instance,
-    configuration, depth) for every admitted state, and counts in `cut`,
-    by bound name, the states whose expansion a bound cut off.
+    Yields (configuration, is final) for each normal form as it is
+    dequeued.  Fills `visited` with configuration -> (parent, rule
+    instance) for every admitted state, and counts in `cut`, by bound
+    name, the states whose expansion a bound cut off.
     """
     key0 = canonical_key(c0)
-    visited[key0] = (None, None, c0, 0)
-    queue: deque[str] = deque([key0])
+    visited[key0] = (None, None)
+    queue: deque[tuple[Configuration, int]] = deque([(key0, 0)])
     while queue:
-        key = queue.popleft()
-        _, _, config, depth = visited[key]
+        config, depth = queue.popleft()
         if is_final(config):
-            yield key, config, True
+            yield config, True
             continue
         successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
         if not successors:
-            yield key, config, False
+            yield config, False
             continue
         if depth >= bounds.max_steps_per_path:
             cut[EXHAUSTED_STEPS] += 1
@@ -133,20 +132,20 @@ def _bfs(c0, bounds, visited, cut, read_mode, truthy):
             if len(visited) >= bounds.max_states:
                 truncated = True
                 continue
-            visited[succ_key] = (key, rule_instance, succ, depth + 1)
-            queue.append(succ_key)
+            visited[succ_key] = (config, rule_instance)
+            queue.append((succ_key, depth + 1))
         if truncated:
             cut[EXHAUSTED_STATES] += 1
 
 
-def _backtrack(visited, key) -> Trace:
+def _backtrack(visited, config) -> Trace:
     steps = []
     while True:
-        parent, rule_instance, config, _ = visited[key]
+        parent, rule_instance = visited[config]
         if parent is None:
             return Trace(config, tuple(reversed(steps)), OUTCOME_STUCK)
         steps.append((rule_instance, config))
-        key = parent
+        config = parent
 
 
 def reachable_normal_forms(
@@ -162,7 +161,7 @@ def reachable_normal_forms(
     a truncated answer can never be mistaken for the real one.
     """
     cut: Counter[str] = Counter()
-    out = [config for _, config, _ in _bfs(c0, bounds, {}, cut, read_mode, truthy)]
+    out = [config for config, _ in _bfs(c0, bounds, {}, cut, read_mode, truthy)]
     if cut:
         raise SearchBoundError(f"{', '.join(cut)} bound hit while enumerating normal forms")
     return out

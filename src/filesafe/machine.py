@@ -7,13 +7,12 @@ is the next thing to execute; the frames behind it are either further
 work or holes waiting for a value.
 
 Everything here is immutable.  Environments and status tables are kept
-as name-sorted tuples so that structural equality, hashing and key
-derivation are all canonical for free.
+as name-sorted tuples so that structural equality and hashing are
+canonical for free.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -284,16 +283,15 @@ def is_final(config: Configuration) -> bool:
     return isinstance(config.control[0], (Unit, Value))
 
 
-def canonical_key(config: Configuration) -> str:
-    """A collision-resistant key equal exactly for equal configurations.
+def canonical_key(config: Configuration) -> Configuration:
+    """The search key of a configuration: the configuration itself.
 
-    The structural repr of a configuration is injective (all frames and
-    atoms are frozen dataclasses), so hashing it gives a stable 256-bit
-    key regardless of interpreter hash randomization.
+    Configurations are frozen dataclasses over canonical fields, so
+    equal keys mean equal configurations and the key hashes in the
+    interpreter.  Search order never depends on the hash, since dicts
+    iterate in insertion order.
     """
-    text = repr((config.control, config.env, config.status,
-                 config.store.entries, config.mode.value))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return config
 
 
 # ---------------------------------------------------------------------------

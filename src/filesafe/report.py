@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, index
-from typing import get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import SpecError
 from .machine import (
@@ -27,6 +27,7 @@ from .syntax import (
 from .explorer import Trace
 
 SCHEMA = "filesafe-report/1"
+_VERDICTS = ("safe", "unsafe", "unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +363,11 @@ class Report:
         if schema != SCHEMA:
             raise SpecError(f"unsupported report schema {schema!r}")
         _, *values = _unpack(obj, ("schema", *_REPORT_FIELDS), "report")
+        for name, value, types in zip(_REPORT_FIELDS, values, _REPORT_TYPES):
+            if type(value) not in types:
+                raise SpecError(f"report field {name!r} has the wrong type: {value!r:.80}")
+        if obj["verdict"] not in _VERDICTS:
+            raise SpecError(f"unknown verdict {obj['verdict']!r:.80}")
         return cls(*values)
 
     def render_text(self) -> str:
@@ -388,4 +394,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _json_types(hint) -> tuple[type, ...]:
+    """The exact JSON value types a field of type `hint` accepts; a float takes an int."""
+    types = get_args(hint) or (hint,)
+    return (*types, int) if float in types else types
+
+
 _REPORT_FIELDS = tuple(f.name for f in fields(Report))
+_REPORT_TYPES = tuple(_json_types(hint) for hint in get_type_hints(Report).values())

@@ -285,6 +285,29 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
+# Operator precedence, loosest first, shared by the parser and the printer.
+# Every binary operator is left-associative.
+
+_PREC_LOOSE = 0
+_PREC_OR = 1
+_PREC_AND = 2
+_PREC_CMP = 3
+_PREC_ADD = 4
+_PREC_MUL = 5
+_PREC_TIGHT = 6
+
+_BINOP_PREC = {
+    "||": _PREC_OR, "&&": _PREC_AND,
+    "==": _PREC_CMP, "!=": _PREC_CMP, "<=": _PREC_CMP,
+    ">=": _PREC_CMP, "<": _PREC_CMP, ">": _PREC_CMP,
+    "+": _PREC_ADD, "-": _PREC_ADD,
+    "*": _PREC_MUL, "/": _PREC_MUL,
+}
+
+_LOGICAL = {"&&": And, "||": Or}
+
+
+# ---------------------------------------------------------------------------
 # Parser
 #
 # stmt    := item (';' item)* [';']
@@ -295,12 +318,8 @@ def tokenize(text: str) -> list[Token]:
 # atom    := '(' IDENT ',' IDENT ')' '=' 'read' '(' IDENT ')'
 #          | IDENT '=' 'read' '(' IDENT ',' atom ')'
 #          | IDENT '=' atom
-#          | disj
-# disj    := conj ('||' conj)*
-# conj    := cmp ('&&' cmp)*
-# cmp     := add (('=='|'!='|'<='|'>='|'<'|'>') add)*
-# add     := mul (('+'|'-') mul)*
-# mul     := unary (('*'|'/') unary)*
+#          | binary
+# binary  := unary (OP unary)*    OP from _BINOP_PREC, by its precedence
 # unary   := '-' INT | primary
 # primary := INT | IDENT | '(' atom ')' | 'skip'
 #          | 'if' atom 'then' atom 'else' atom
@@ -405,7 +424,7 @@ class _Parser:
             return self.parse_read_nd()
         if self.at("ident") and self.at("sym", "=", ahead=1):
             return self.parse_assign()
-        return self.parse_disj()
+        return self.parse_binary(_PREC_OR)
 
     def _at_read_nd(self) -> bool:
         return (
@@ -455,40 +474,17 @@ class _Parser:
             return ReadAt(target, file, pos)
         return Assign(Var(target), self.parse_atom())
 
-    def parse_disj(self) -> Atom:
-        left = self.parse_conj()
-        while self.at("sym", "||"):
-            self.advance()
-            left = Or(left, self.parse_conj())
-        return left
-
-    def parse_conj(self) -> Atom:
-        left = self.parse_cmp()
-        while self.at("sym", "&&"):
-            self.advance()
-            left = And(left, self.parse_cmp())
-        return left
-
-    def parse_cmp(self) -> Atom:
-        left = self.parse_add()
-        while self.peek().kind == "sym" and self.peek().text in ("==", "!=", "<=", ">=", "<", ">"):
-            op = self.advance().text
-            left = BinOp(op, left, self.parse_add())
-        return left
-
-    def parse_add(self) -> Atom:
-        left = self.parse_mul()
-        while self.peek().kind == "sym" and self.peek().text in ("+", "-"):
-            op = self.advance().text
-            left = BinOp(op, left, self.parse_mul())
-        return left
-
-    def parse_mul(self) -> Atom:
+    def parse_binary(self, min_prec: int) -> Atom:
+        """Operators binding at least as tightly as `min_prec`, left-associative."""
         left = self.parse_unary()
-        while self.peek().kind == "sym" and self.peek().text in ("*", "/"):
-            op = self.advance().text
-            left = BinOp(op, left, self.parse_unary())
-        return left
+        while True:
+            op = self.peek().text  # no other token's text is an operator
+            prec = _BINOP_PREC.get(op)
+            if prec is None or prec < min_prec:
+                return left
+            self.advance()
+            right = self.parse_binary(prec + 1)
+            left = _LOGICAL[op](left, right) if op in _LOGICAL else BinOp(op, left, right)
 
     def parse_unary(self) -> Atom:
         if self.at("sym", "-") and self.at("int", ahead=1):
@@ -557,25 +553,8 @@ def parse_program(text: str, mode: Mode) -> Program:
 # ---------------------------------------------------------------------------
 # Pretty printer
 #
-# Operator precedence, loosest first.  Assignment, if, while and the read
-# forms are self-bracketing only in statement position; as an operand they
-# are parenthesized.
-
-_PREC_LOOSE = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_CMP = 3
-_PREC_ADD = 4
-_PREC_MUL = 5
-_PREC_TIGHT = 6
-
-_BINOP_PREC = {
-    "==": _PREC_CMP, "!=": _PREC_CMP, "<=": _PREC_CMP,
-    ">=": _PREC_CMP, "<": _PREC_CMP, ">": _PREC_CMP,
-    "+": _PREC_ADD, "-": _PREC_ADD,
-    "*": _PREC_MUL, "/": _PREC_MUL,
-}
-
+# Assignment, if, while and the read forms are self-bracketing only in
+# statement position; as an operand they are parenthesized.
 
 def format_atom(atom, min_prec: int = _PREC_LOOSE) -> str:
     text, prec = _format(atom)
@@ -590,22 +569,15 @@ def _format(atom) -> tuple[str, int]:
             return str(n), _PREC_TIGHT
         case Var(name):
             return name, _PREC_TIGHT
-        case BinOp(op, left, right):
+        case BinOp(left=left, right=right) | And(left, right) | Or(left, right):
+            op = atom.op if isinstance(atom, BinOp) else (
+                "&&" if isinstance(atom, And) else "||"
+            )
             prec = _BINOP_PREC[op]
             # Left-associative: the right operand must bind tighter.
             return (
                 f"{format_atom(left, prec)} {op} {format_atom(right, prec + 1)}",
                 prec,
-            )
-        case And(left, right):
-            return (
-                f"{format_atom(left, _PREC_AND)} && {format_atom(right, _PREC_AND + 1)}",
-                _PREC_AND,
-            )
-        case Or(left, right):
-            return (
-                f"{format_atom(left, _PREC_OR)} || {format_atom(right, _PREC_OR + 1)}",
-                _PREC_OR,
             )
         case Assign(Var(name), value):
             return f"{name} = {format_atom(value, _PREC_LOOSE)}", _PREC_LOOSE

@@ -1,6 +1,10 @@
 """Report serialization and command line behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,12 @@ def _binop(**keys):
     return {"node": "binop", "op": "+", **keys}
 
 
+def _report(**keys):
+    report = Report("safe", states=6, normal_forms=1, witness=None, exhausted=None,
+                    frontier=None, bounds={"forkfor_max": 2}, flags={"mode": "whilef"})
+    return {**report.to_obj(), **keys}
+
+
 @pytest.mark.parametrize("load", [
     # A report with every field but the schema missing.
     lambda: Report.from_obj({"schema": SCHEMA}),
@@ -123,9 +133,15 @@ def _binop(**keys):
     lambda: decode("node", _binop(left="x", right={"node": "int", "n": 1})),
     # A string where an integer belongs.
     lambda: decode("node", {"node": "int", "n": "5"}),
+    # Report fields of the wrong JSON type, and a verdict the tool never writes.
+    lambda: Report.from_obj(_report(bounds=[])),
+    lambda: Report.from_obj(_report(flags=[])),
+    lambda: Report.from_obj(_report(wall_time_ms="5")),
+    lambda: Report.from_obj(_report(verdict="maybe")),
 ], ids=[
     "report-keys", "missing-key", "list-node", "mode", "extra-key", "tag",
-    "scalar-node", "scalar-type",
+    "scalar-node", "scalar-type", "bounds-list", "flags-list",
+    "wall-time-string", "verdict-unknown",
 ])
 def test_malformed_documents_raise_spec_error(load):
     with pytest.raises(SpecError):
@@ -210,6 +226,34 @@ def test_check_json_is_reproducible(tmp_path):
     for doc in docs:
         doc["wall_time_ms"] = 0.0
     assert json.dumps(docs[0]) == json.dumps(docs[1])
+
+
+@pytest.mark.parametrize("name", ["forkfor_pointer", "oracle_predicate", "close_race"])
+def test_check_json_is_independent_of_the_hash_seed(tmp_path, name):
+    # The search keys states by their Python hash, which changes with the
+    # hash seed; breadth-first order must depend only on insertion order.
+    # In close_race 24 stuck states tie at depth 1, so its witness names
+    # whichever one the search dequeues first.
+    if name == "close_race":
+        program = tmp_path / "close_race.wf"
+        program.write_text("fork { close(a), close(b), close(c), close(d) }\n")
+        argv = ["check", str(program), "--mode", "whilef"]
+    else:
+        argv = check_argv(name)
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("1", "2"):
+        path = tmp_path / f"{seed}.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "filesafe.cli", *argv, "--json", str(path)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, timeout=120,
+        )
+        doc = json.loads(path.read_text())
+        doc["wall_time_ms"] = 0.0
+        runs.append((result.returncode, result.stdout, json.dumps(doc)))
+    assert runs[0] == runs[1]
 
 
 def test_check_respects_truthy(capsys):
@@ -306,6 +350,17 @@ def test_diagnostics_go_to_stderr(capsys):
     assert main(["check", str(wf), "--mode", "safe"]) == 64
     captured = capsys.readouterr()
     assert "filesafe:" in captured.err and captured.out == ""
+
+
+def test_internal_errors_exit_70_with_one_line(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("filesafe.cli.explore", fail)
+    assert main(check_argv("seq_read")) == 70
+    captured = capsys.readouterr()
+    assert captured.err == "filesafe: internal error: RuntimeError: boom\n"
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
