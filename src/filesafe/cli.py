@@ -98,11 +98,14 @@ def _load(args):
             store, status = load_fs_spec(handle.read(), program.files)
     else:
         store, status = load_fs_spec({}, program.files)
-    bounds = Bounds(
-        forkfor_max=args.forkfor_max,
-        max_steps_per_path=args.max_steps,
-        max_states=args.max_states,
-    )
+    try:
+        bounds = Bounds(
+            forkfor_max=args.forkfor_max,
+            max_steps_per_path=args.max_steps,
+            max_states=args.max_states,
+        )
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     config = initial_config(program, store, status)
     return program, config, bounds, read_mode
 
@@ -178,8 +181,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_relax(args)
-    # ValueError: Bounds validation rejects nonsensical limits.
-    except (ParseError, ModeError, SpecError, MissingFileError, OSError, ValueError) as exc:
+    # UnicodeDecodeError: a program or spec file that is not UTF-8.
+    except (ParseError, ModeError, SpecError, MissingFileError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"filesafe: {exc}", file=sys.stderr)
         return 64
     except FileSafeError as exc:

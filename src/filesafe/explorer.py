@@ -117,7 +117,9 @@ def _bfs(c0, bounds, visited, cut, read_mode, truthy):
         if is_final(config):
             yield config, True
             continue
-        successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
+        successors = step(
+            config, bounds, read_mode=read_mode, truthy=truthy, distinct=True,
+        )
         if not successors:
             yield config, False
             continue

@@ -26,7 +26,8 @@ Rule names, with their choice kinds where not Unique:
                        (OraclePos)
   read-at              safe read at an evaluated position
   seq                  split a sequence into two control entries
-  fork                 one successor per branch interleaving (Interleave)
+  fork                 one successor per branch interleaving (Interleave);
+                       with `distinct`, one per distinct laid-out sequence
   forkfor              one successor per repetition count (ForkCount)
   forkif               wrap every arm in a guarded if, then fork
   skip                 drop the head
@@ -134,16 +135,27 @@ def eval_phi(store: FileStore, file: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 # Interleavings
 
-def enumerate_interleavings(branches: list[list] | tuple) -> list[Interleave]:
+def enumerate_interleavings(
+    branches: list[list] | tuple, *, distinct: bool = False,
+) -> list[Interleave]:
     """Every order-preserving shuffle of the branches' atom lists.
 
     Shuffles are sequences of (branch, atom) index pairs, lexicographic
     in the branch index sequence and duplicate-free.  Empty branches
     contribute nothing.  The count is multinomial:
     (sum of lengths)! / product(lengths!).
+
+    With `distinct`, a branch is taken only while it is behind its
+    nearest earlier identical twin.  A pruned shuffle lays out what an
+    earlier one did with the twins' roles swapped, so this keeps the
+    first shuffle of each distinct laid-out sequence, in the same order.
     """
     sizes = [len(b) for b in branches]
     total = sum(sizes)
+    twin = [-1] * len(sizes)  # nearest earlier identical branch
+    if distinct:
+        for i, branch in enumerate(branches):
+            twin[i] = next((j for j in reversed(range(i)) if branches[j] == branch), -1)
     out: list[Interleave] = []
     order: list[tuple[int, int]] = []
     taken = [0] * len(sizes)
@@ -153,7 +165,7 @@ def enumerate_interleavings(branches: list[list] | tuple) -> list[Interleave]:
             out.append(Interleave(tuple(order)))
             return
         for i in range(len(sizes)):
-            if taken[i] < sizes[i]:
+            if taken[i] < sizes[i] and (twin[i] < 0 or taken[twin[i]] > taken[i]):
                 order.append((i, taken[i]))
                 taken[i] += 1
                 rec()
@@ -199,11 +211,16 @@ def step(
     *,
     read_mode: ReadMode = ReadMode.CURSOR,
     truthy: bool = False,
+    distinct: bool = False,
 ) -> list[tuple[RuleInstance, Configuration]]:
     """All immediate successors of `config`, in a fixed order.
 
     `read_mode` selects the whilef read interpretation; `truthy` relaxes
     guard strictness to treat any nonzero guard as true (off by default).
+    `distinct` lays out each distinct fork sequence once (see
+    `enumerate_interleavings`).  Only the graph search passes it, since it
+    keeps just the first label of a state anyway; the tree route and
+    trace replay need the full labeled relation.
     """
     head, *rest = config.control
     if not isinstance(head, Ctrl):
@@ -229,7 +246,7 @@ def step(
         case Fork(branches):
             atom_lists = [atoms_of(b) for b in branches]
             out = []
-            for inter in enumerate_interleavings(atom_lists):
+            for inter in enumerate_interleavings(atom_lists, distinct=distinct):
                 laid = [Ctrl(atom_lists[i][j]) for i, j in inter.order]
                 out.append(succ("fork", [*laid, *rest], choice=inter))
             return out

@@ -35,6 +35,7 @@ from filesafe import (
     validate_trace,
 )
 from filesafe.machine import Ctrl, FileStore, env_get
+from filesafe.report import format_choice
 from filesafe.syntax import IntLit, ReadAt, ReadND, Seq, AtomStmt
 
 from conftest import CORPUS, corpus_case, corpus_cases
@@ -368,6 +369,74 @@ def test_observed_positions_make_straight_line_programs_positioned(name):
     c0 = case.config()
     verdict = explore(initial_config(pinned, c0.store, dict(c0.status)), case.bounds())
     assert isinstance(verdict, Safe)
+
+
+# ---------------------------------------------------------------------------
+# Fork pruning: the graph route on the full relation decides the same
+
+def graph_results(c0, bounds, read_mode):
+    """explore's verdict and reachable_normal_forms' list (or its error)."""
+    try:
+        forms = reachable_normal_forms(c0, bounds, read_mode=read_mode)
+    except SearchBoundError as exc:
+        forms = str(exc)
+    return explore(c0, bounds, read_mode=read_mode), forms
+
+
+def assert_pruning_changes_nothing(monkeypatch, c0, bounds, read_mode=ReadMode.CURSOR):
+    pruned = graph_results(c0, bounds, read_mode)
+    with monkeypatch.context() as m:
+        m.setattr(
+            "filesafe.explorer.step",
+            lambda config, bounds, *, distinct=False, **kw: step(config, bounds, **kw),
+        )
+        full = graph_results(c0, bounds, read_mode)
+    assert pruned == full
+
+
+TIGHT = {"max_states": 7, "max_steps_per_path": 4}
+
+
+@pytest.mark.parametrize("read_mode", list(ReadMode))
+@pytest.mark.parametrize("tight", [False, True])
+def test_fork_pruning_keeps_corpus_results(monkeypatch, read_mode, tight):
+    for case in CORPUS:
+        bounds = case.bounds(**TIGHT) if tight else case.bounds()
+        assert_pruning_changes_nothing(monkeypatch, case.config(), bounds, read_mode)
+
+
+@pytest.mark.parametrize("tight", [False, True])
+def test_fork_pruning_keeps_random_program_results(monkeypatch, tight):
+    rng = random.Random(24680)
+    bounds = Bounds(forkfor_max=2, **TIGHT) if tight else B
+    for _ in range(400):
+        mode = rng.choice((Mode.WHILEF, Mode.SAFE))
+        read_mode = rng.choice(list(ReadMode)) if mode is Mode.WHILEF else ReadMode.CURSOR
+        program = random_program(rng, mode)
+        store = random_store(rng)
+        status = {f: rng.choice("oc") for f in store.names()}
+        c0 = initial_config(program, store, status)
+        assert_pruning_changes_nothing(monkeypatch, c0, bounds, read_mode)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_fork_pruning_keeps_replicated_reader_results(monkeypatch, k):
+    case = corpus_case("forkfor_pointer")
+    assert_pruning_changes_nothing(monkeypatch, case.config(), Bounds(forkfor_max=k))
+
+
+def test_pruned_fork_witness_replays_on_the_full_relation():
+    program = parse_program("open(f); forkfor { close(f) }", Mode.WHILEF)
+    c0 = initial_config(program, FileStore.of({"f": ()}), {"f": "c"})
+    bounds = Bounds(forkfor_max=3)
+    verdict = explore(c0, bounds)
+    assert isinstance(verdict, Unsafe)
+    assert len(verdict.witness.steps) == 5
+    fork_labels = [
+        format_choice(inst.choice) for inst, _ in verdict.witness.steps if inst.rule == "fork"
+    ]
+    assert fork_labels == ["order=(0,0)(1,0)"]
+    validate_trace(verdict.witness, bounds)
 
 
 # ---------------------------------------------------------------------------

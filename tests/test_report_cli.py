@@ -256,6 +256,16 @@ def test_check_json_is_independent_of_the_hash_seed(tmp_path, name):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("k, states", [
+    (2, 33), (3, 86), (4, 241), (5, 716), (6, 2229), (7, 7196),
+])
+def test_check_replicated_reader_ladder(capsys, k, states):
+    assert main(check_argv("forkfor_pointer", "--forkfor-max", str(k))) == 0
+    out = capsys.readouterr().out
+    assert f"states visited: {states}\n" in out
+    assert f"normal forms: {k + 1}\n" in out
+
+
 def test_check_respects_truthy(capsys):
     assert main(check_argv("guard_stuck")) == 1
     capsys.readouterr()
@@ -324,6 +334,8 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     bad_prog.write_text("x = ")
     bad_fs = tmp_path / "bad.json"
     bad_fs.write_text("{nope")
+    latin1 = tmp_path / "latin1.wf"
+    latin1.write_bytes(b"x = \xff;")
     wf = corpus_case("seq_read").path
     swf = corpus_case("safe_read").path
     cases = [
@@ -337,6 +349,7 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         ["check", str(swf), "--mode", "safe", "--read-mode", "oracle"],
         ["check", str(wf), "--mode", "safe"],  # wrong dialect for the source
         ["check", str(wf), "--mode", "whilef", "--forkfor-max", "-1"],
+        ["check", str(latin1), "--mode", "whilef"],  # not UTF-8
         ["run", str(wf), "--mode", "whilef", "--seed", "1", "--first"],
         ["relax", str(wf)],  # whilef source cannot be parsed as safe
     ]
@@ -361,6 +374,22 @@ def test_internal_errors_exit_70_with_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "filesafe: internal error: RuntimeError: boom\n"
     assert captured.out == ""
+
+
+def test_internal_value_errors_are_not_bad_input(tmp_path, capsys):
+    # A valid program whose witness holds a 16,385-digit value: writing the
+    # report exceeds Python's int-to-str digit limit.
+    source = tmp_path / "square.wf"
+    source.write_text("x = 10;\n" + "x = x * x;\n" * 14 + "1 / 0\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["check", str(source), "--mode", "whilef"]) == 70
+    finally:
+        sys.set_int_max_str_digits(limit)
+    err = capsys.readouterr().err
+    assert err.startswith("filesafe: internal error: ValueError: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from filesafe import (
@@ -446,6 +446,53 @@ def test_interleaving_count_matches_the_multinomial():
             out = enumerate_interleavings(branches)
             assert len(out) == multinomial(sizes) == brute_force_count(sizes)
             assert len(set(out)) == len(out)
+
+
+def first_layouts(branches, inters):
+    """Laid-out atom sequence -> its first shuffle, in first-occurrence order."""
+    firsts = {}
+    for inter in inters:
+        firsts.setdefault(tuple(branches[i][j] for i, j in inter.order), inter)
+    return list(firsts.items())
+
+
+@st.composite
+def fork_branches(draw):
+    """Up to five branches of at most 9 atoms in all, drawn from few templates
+    over a two-atom pool, so identical branches and shared atoms both occur."""
+    atom = st.sampled_from((IntLit(0), IntLit(1)))
+    templates = draw(st.lists(st.lists(atom, max_size=3), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1), min_size=1, max_size=5))
+    branches = [list(templates[p]) for p in picks]
+    assume(sum(map(len, branches)) <= 9)
+    return branches
+
+
+@settings(max_examples=200, deadline=None)
+@given(fork_branches())
+def test_distinct_interleavings_keep_the_first_shuffle_of_each_layout(branches):
+    full = enumerate_interleavings(branches)
+    distinct = enumerate_interleavings(branches, distinct=True)
+    remaining = iter(full)
+    assert all(inter in remaining for inter in distinct)  # a subsequence
+    assert first_layouts(branches, distinct) == first_layouts(branches, full)
+
+
+@pytest.mark.parametrize("copies, length, count", [
+    (5, 2, 42), (3, 3, 42), (4, 3, 462), (6, 2, 132),
+])
+def test_identical_branches_lay_out_each_sequence_once(copies, length, count):
+    body = [IntLit(j) for j in range(length)]
+    branches = [list(body) for _ in range(copies)]
+    out = enumerate_interleavings(branches, distinct=True)
+    assert len(out) == count == len(first_layouts(branches, out))
+
+
+def test_distinct_branches_keep_every_interleaving():
+    branches = [[IntLit(j) for j in range(7)], [IntLit(10 + j) for j in range(7)]]
+    full = enumerate_interleavings(branches)
+    assert enumerate_interleavings(branches, distinct=True) == full
+    assert len(full) == 3432
 
 
 # ---------------------------------------------------------------------------
