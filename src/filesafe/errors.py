@@ -8,10 +8,9 @@ class FileSafeError(Exception):
 class ParseError(FileSafeError):
     """Rejected concrete syntax, tagged with the offending position."""
 
-    def __init__(self, message, line=None, col=None, expected=None):
+    def __init__(self, message, line=None, col=None):
         self.line = line
         self.col = col
-        self.expected = expected
         if line is not None:
             message = f"{message} (line {line}, column {col})"
         super().__init__(message)

@@ -5,12 +5,15 @@ graph, deduplicated by configuration equality, and decides file safety:
 every reachable normal form must be final.  `oracle_explore` answers the same
 question by naively unfolding the execution tree with no deduplication
 at all; it exists as an independent cross-check and must never be fused
-with `explore`.
+with `explore`.  `normal_form_traces` reads its traces off the same tree
+unfolding (`_unfold`), which shares nothing with the graph search (`_bfs`).
 
-`relax_program` and `embed_trace` connect the two dialects: a safe
-program forgets its read positions to become a whilef program, and any
-safe trace replays inside the relaxed program by feeding the forgotten
-positions back through the oracle read.
+`run_single` and `embed_trace` follow one path through the step relation
+(`_run`), differing only in how they pick a successor.  `relax_program`
+and `embed_trace` connect the two dialects: a safe program forgets its
+read positions to become a whilef program, and any safe trace replays
+inside the relaxed program by feeding the forgotten positions back
+through the oracle read.
 """
 
 from __future__ import annotations
@@ -18,16 +21,15 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import count
+from operator import itemgetter
 
 from .errors import InvalidTraceError, ModeError, SearchBoundError
 from .machine import Configuration, canonical_key, ctrl, is_final, make_configuration
 from .semantics import (
     Bounds, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance, step,
 )
-from .syntax import (
-    And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
-    Or, Program, ReadAt, ReadND, Seq, Var, While, make_program,
-)
+from .syntax import IntLit, Mode, Program, ReadAt, ReadND, make_program, rebuild
 
 OUTCOME_FINAL = "final"
 OUTCOME_STUCK = "stuck"
@@ -184,42 +186,58 @@ def oracle_explore(
     Intended for small instances.  Where neither route hits a bound this
     agrees with `explore` on the verdict kind.
     """
-    arena: list[tuple[Configuration, int, RuleInstance | None]] = [(c0, -1, None)]
-    queue: deque[tuple[int, int]] = deque([(0, 0)])  # (arena index, depth)
+    arena: list[tuple[Configuration, int, RuleInstance | None]] = []
+    cut: Counter[str] = Counter()
     normal_forms = 0
-    clipped: str | None = None
-    frontier = 0
+    for index, final in _unfold(c0, bounds, arena, cut, read_mode, truthy):
+        if not final:
+            witness = _arena_trace(arena, index, OUTCOME_STUCK)
+            return Unsafe(witness=witness, stuck=witness.last)
+        normal_forms += 1
+    if cut:
+        exhausted = EXHAUSTED_STATES if cut[EXHAUSTED_STATES] else EXHAUSTED_STEPS
+        return Unknown(exhausted=exhausted, frontier=sum(cut.values()))
+    return Safe(normal_forms=normal_forms, states_visited=len(arena))
+
+
+def _unfold(c0, bounds, arena, cut, read_mode, truthy):
+    """Breadth-first unfolding of the execution tree, with no deduplication.
+
+    Yields (arena index, is final) for each leaf as it is dequeued.
+    Fills the empty list `arena` with (configuration, parent index, rule
+    instance) for every node, the root `c0` at index 0 with parent -1,
+    and counts in `cut`, by bound name, the nodes whose expansion a
+    bound cut off.
+    """
+    arena.append((c0, -1, None))
+    queue: deque[tuple[int, int]] = deque([(0, 0)])  # (arena index, depth)
     while queue:
         index, depth = queue.popleft()
         config = arena[index][0]
         if is_final(config):
-            normal_forms += 1
+            yield index, True
             continue
         successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
         if not successors:
-            return Unsafe(witness=_arena_trace(arena, index), stuck=config)
+            yield index, False
+            continue
         if depth >= bounds.max_steps_per_path:
-            clipped = clipped or EXHAUSTED_STEPS
-            frontier += 1
+            cut[EXHAUSTED_STEPS] += 1
             continue
         if len(arena) + len(successors) > bounds.max_states:
-            clipped = EXHAUSTED_STATES
-            frontier += 1
+            cut[EXHAUSTED_STATES] += 1
             continue
         for rule_instance, succ in successors:
             arena.append((succ, index, rule_instance))
             queue.append((len(arena) - 1, depth + 1))
-    if clipped is not None:
-        return Unknown(exhausted=clipped, frontier=frontier)
-    return Safe(normal_forms=normal_forms, states_visited=len(arena))
 
 
-def _arena_trace(arena, index) -> Trace:
+def _arena_trace(arena, index, outcome) -> Trace:
     steps = []
     while True:
         config, parent, rule_instance = arena[index]
         if parent < 0:
-            return Trace(config, tuple(reversed(steps)), OUTCOME_STUCK)
+            return Trace(config, tuple(reversed(steps)), outcome)
         steps.append((rule_instance, config))
         index = parent
 
@@ -231,48 +249,20 @@ def normal_form_traces(
     read_mode: ReadMode = ReadMode.CURSOR,
     truthy: bool = False,
 ) -> list[Trace]:
-    """Every maximal trace of the execution tree, depth-first.
+    """Every maximal trace of the execution tree, breadth-first.
 
     Each returned trace ends in a normal form and is tagged final or
-    stuck.  Raises SearchBoundError when the tree outgrows the bounds.
+    stuck; shorter traces come first.  Raises SearchBoundError when the
+    tree outgrows the bounds.
     """
-    nodes = 0
-
-    def expand(config):
-        nonlocal nodes
-        nodes += 1
-        if nodes > bounds.max_states:
-            raise SearchBoundError("state bound hit while enumerating traces")
-        if is_final(config):
-            return None
-        return step(config, bounds, read_mode=read_mode, truthy=truthy) or None
-
-    out: list[Trace] = []
-    path: list[tuple[RuleInstance, Configuration]] = []
-
-    first = expand(c0)
-    if first is None:
-        outcome = OUTCOME_FINAL if is_final(c0) else OUTCOME_STUCK
-        return [Trace(c0, (), outcome)]
-    stack = [iter(first)]
-    while stack:
-        entry = next(stack[-1], None)
-        if entry is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        path.append(entry)
-        if len(path) > bounds.max_steps_per_path:
-            raise SearchBoundError("step bound hit while enumerating traces")
-        config = entry[1]
-        successors = expand(config)
-        if successors is None:
-            outcome = OUTCOME_FINAL if is_final(config) else OUTCOME_STUCK
-            out.append(Trace(c0, tuple(path), outcome))
-            path.pop()
-            continue
-        stack.append(iter(successors))
+    arena: list[tuple[Configuration, int, RuleInstance | None]] = []
+    cut: Counter[str] = Counter()
+    out = [
+        _arena_trace(arena, index, OUTCOME_FINAL if final else OUTCOME_STUCK)
+        for index, final in _unfold(c0, bounds, arena, cut, read_mode, truthy)
+    ]
+    if cut:
+        raise SearchBoundError(f"{', '.join(cut)} bound hit while enumerating traces")
     return out
 
 
@@ -294,26 +284,28 @@ def run_single(
     Reproducible either way.  The trace is tagged final, stuck, or
     cutoff when max_steps_per_path ran out.
     """
-    rng = random.Random(seed) if seed is not None else None
+    pick = itemgetter(0) if seed is None else random.Random(seed).choice
+    return _run(c0, bounds, pick, read_mode, truthy)
+
+
+def _run(c0, bounds, pick, read_mode, truthy) -> Trace:
+    """The maximal run from `c0` that takes `pick(successors)` at every step.
+
+    Tagged final or stuck where it ends, or cutoff once
+    max_steps_per_path steps are taken short of a final configuration.
+    """
     config = c0
     steps: list[tuple[RuleInstance, Configuration]] = []
-    outcome = OUTCOME_CUTOFF
-    for _ in range(bounds.max_steps_per_path):
-        if is_final(config):
-            outcome = OUTCOME_FINAL
-            break
+    while not is_final(config):
+        if len(steps) >= bounds.max_steps_per_path:
+            return Trace(c0, tuple(steps), OUTCOME_CUTOFF)
         successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
         if not successors:
-            outcome = OUTCOME_STUCK
-            break
-        pick = 0 if rng is None else rng.randrange(len(successors))
-        entry = successors[pick]
+            return Trace(c0, tuple(steps), OUTCOME_STUCK)
+        entry = pick(successors)
         steps.append(entry)
         config = entry[1]
-    else:
-        if is_final(config):
-            outcome = OUTCOME_FINAL
-    return Trace(c0, tuple(steps), outcome)
+    return Trace(c0, tuple(steps), OUTCOME_FINAL)
 
 
 def validate_trace(
@@ -346,59 +338,15 @@ def relax_program(program: Program) -> Program:
     """
     if program.mode is not Mode.SAFE:
         raise ModeError("only safe-dialect programs can be relaxed")
-    counter = [0]
-    body = _relax_stmt(program.body, counter)
-    return make_program(Mode.WHILEF, body)
+    fresh = (f"p__{i}" for i in count())
+    return make_program(Mode.WHILEF, _relax(program.body, fresh))
 
 
-def _fresh(counter) -> str:
-    name = f"p__{counter[0]}"
-    counter[0] += 1
-    return name
-
-
-def _relax_stmt(stmt, counter):
-    match stmt:
-        case AtomStmt(atom):
-            return AtomStmt(_relax_atom(atom, counter))
-        case Seq(first, second):
-            return Seq(_relax_stmt(first, counter), _relax_stmt(second, counter))
-        case Fork(branches):
-            return Fork(tuple(_relax_stmt(b, counter) for b in branches))
-        case ForkFor(body):
-            return ForkFor(_relax_stmt(body, counter))
-        case ForkIf(arms):
-            return ForkIf(tuple(
-                (_relax_atom(guard, counter), _relax_stmt(s, counter))
-                for guard, s in arms
-            ))
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _relax_atom(atom, counter):
-    match atom:
-        case ReadAt(target, file, _):
-            # The dropped position subtree is gone entirely; nothing in it
-            # is renumbered.
-            return ReadND(target, _fresh(counter), file)
-        case BinOp(op, left, right):
-            return BinOp(op, _relax_atom(left, counter), _relax_atom(right, counter))
-        case And(left, right):
-            return And(_relax_atom(left, counter), _relax_atom(right, counter))
-        case Or(left, right):
-            return Or(_relax_atom(left, counter), _relax_atom(right, counter))
-        case Assign(target, value):
-            return Assign(target, _relax_atom(value, counter))
-        case If(cond, then_body, else_body):
-            return If(
-                _relax_atom(cond, counter),
-                _relax_atom(then_body, counter),
-                _relax_atom(else_body, counter),
-            )
-        case While(cond, body):
-            return While(_relax_atom(cond, counter), _relax_atom(body, counter))
-        case _:
-            return atom
+def _relax(node, fresh):
+    # A dropped position subtree is gone entirely; nothing in it is numbered.
+    if isinstance(node, ReadAt):
+        return ReadND(node.target, next(fresh), node.file)
+    return rebuild(node, lambda child: _relax(child, fresh))
 
 
 def embed_trace(trace: Trace, relaxed: Program) -> Trace:
@@ -420,58 +368,40 @@ def embed_trace(trace: Trace, relaxed: Program) -> Trace:
         max_steps_per_path=len(trace.steps) + 4,
         max_states=1,  # unused by step
     )
-    config = make_configuration(
-        control=[ctrl(relaxed.body)],
-        env=trace.start.env,
-        status=trace.start.status,
-        store=trace.start.store,
-        mode=Mode.WHILEF,
+    start = make_configuration(
+        [ctrl(relaxed.body)], trace.start.env, trace.start.status,
+        trace.start.store, Mode.WHILEF,
     )
-    steps: list[tuple[RuleInstance, Configuration]] = []
-    for _ in range(bounds.max_steps_per_path):
-        if is_final(config):
-            break
-        successors = step(config, bounds, read_mode=ReadMode.ORACLE)
-        if not successors:
-            break
-        rule = successors[0][0].rule
-        if rule in ("fork", "forkfor", "read-nd"):
-            if not choices:
-                raise InvalidTraceError(f"no recorded choice left for {rule}")
-            wanted = choices.popleft()
-            if rule == "read-nd" and not isinstance(wanted, OraclePos):
-                raise InvalidTraceError("recorded choice is not a read position")
-            entry = next(
-                (e for e in successors if e[0].choice == wanted), None,
-            )
-            if entry is None:
-                raise InvalidTraceError(
-                    f"recorded choice {wanted!r} is not available for {rule}"
-                )
-        else:
-            if len(successors) != 1:
-                raise InvalidTraceError(
-                    f"unexpected nondeterminism in rule {rule!r}"
-                )
-            entry = successors[0]
-        steps.append(entry)
-        config = entry[1]
-    else:
+    embedded = _run(start, bounds, lambda successors: _replay(successors, choices),
+                    ReadMode.ORACLE, False)
+    if embedded.outcome == OUTCOME_CUTOFF:
         raise InvalidTraceError("embedding did not terminate alongside the input")
     if choices:
         raise InvalidTraceError("input trace has unused choices")
-    ends_final = is_final(config)
-    if ends_final != is_final(trace.last):
+    if (embedded.outcome == OUTCOME_FINAL) != is_final(trace.last):
         raise InvalidTraceError("embedded outcome differs from the input trace")
-    outcome = OUTCOME_FINAL if ends_final else OUTCOME_STUCK
-    return Trace(
-        start=make_configuration(
-            [ctrl(relaxed.body)], trace.start.env, trace.start.status,
-            trace.start.store, Mode.WHILEF,
-        ),
-        steps=tuple(steps),
-        outcome=outcome,
-    )
+    return embedded
+
+
+def _replay(successors, choices):
+    """The successor that takes the next recorded choice, where the rule has one.
+
+    Every other rule must be deterministic here.
+    """
+    rule = successors[0][0].rule
+    if rule not in ("fork", "forkfor", "read-nd"):
+        if len(successors) != 1:
+            raise InvalidTraceError(f"unexpected nondeterminism in rule {rule!r}")
+        return successors[0]
+    if not choices:
+        raise InvalidTraceError(f"no recorded choice left for {rule}")
+    wanted = choices.popleft()
+    if rule == "read-nd" and not isinstance(wanted, OraclePos):
+        raise InvalidTraceError("recorded choice is not a read position")
+    for entry in successors:
+        if entry[0].choice == wanted:
+            return entry
+    raise InvalidTraceError(f"recorded choice {wanted!r} is not available for {rule}")
 
 
 def _safe_trace_choices(trace: Trace):

@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import UnknownFileError
 from .machine import (
     CLOSED, OPEN, Configuration, Ctrl, FileStore, HoleAssign, HoleIf,
     HoleOpLeft, HoleOpRight, HoleRead, Value, ctrl, env_bind, env_get,
@@ -58,10 +57,7 @@ class ReadMode(enum.Enum):
 
     @classmethod
     def from_flag(cls, text: str) -> "ReadMode":
-        for m in cls:
-            if m.value == text:
-                return m
-        raise ValueError(f"unknown read mode {text!r}")
+        return cls(text)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ is rejected at parse time with ModeError.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args
 
 from .errors import ModeError, NestedForkError, ParseError
 
@@ -32,10 +33,7 @@ class Mode(enum.Enum):
 
     @classmethod
     def from_flag(cls, text: str) -> "Mode":
-        for m in cls:
-            if m.value == text:
-                return m
-        raise ValueError(f"unknown mode {text!r}")
+        return cls(text)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +156,6 @@ class ForkIf:
 
 Stmt = AtomStmt | Seq | Fork | ForkFor | ForkIf
 
-BINOPS = ("+", "-", "*", "/", "<=", ">=", "<", ">", "==", "!=")
-
 
 @dataclass(frozen=True)
 class Program:
@@ -175,48 +171,41 @@ def make_program(mode: Mode, body: Stmt) -> Program:
 
 def files_of(node) -> set[str]:
     """File names appearing in open/close/read nodes under `node`."""
-    out: set[str] = set()
-    _walk_files(node, out)
-    return out
+    return {n.file for n in walk(node) if type(n) in (Open, Close, ReadND, ReadAt)}
 
 
-def _walk_files(node, out):
-    match node:
-        case Open(f) | Close(f):
-            out.add(f)
-        case ReadND(_, _, f):
-            out.add(f)
-        case ReadAt(_, f, pos):
-            out.add(f)
-            _walk_files(pos, out)
-        case BinOp(_, a, b) | And(a, b) | Or(a, b):
-            _walk_files(a, out)
-            _walk_files(b, out)
-        case Assign(_, v):
-            _walk_files(v, out)
-        case If(c, t, e):
-            _walk_files(c, out)
-            _walk_files(t, out)
-            _walk_files(e, out)
-        case While(c, b):
-            _walk_files(c, out)
-            _walk_files(b, out)
-        case AtomStmt(a):
-            _walk_files(a, out)
-        case Seq(s1, s2):
-            _walk_files(s1, out)
-            _walk_files(s2, out)
-        case Fork(branches):
-            for b in branches:
-                _walk_files(b, out)
-        case ForkFor(body):
-            _walk_files(body, out)
-        case ForkIf(arms):
-            for guard, stmt in arms:
-                _walk_files(guard, out)
-                _walk_files(stmt, out)
-        case _:
-            pass
+# ---------------------------------------------------------------------------
+# Generic traversal
+#
+# A node's children are the syntax nodes among its dataclass fields, in
+# declaration order; a tuple field (fork branches, forkif arms) gives its
+# nodes in order, flattened.  Every other field value is a leaf.
+
+_FIELD_NAMES = {
+    cls: tuple(f.name for f in fields(cls)) for cls in get_args(Atom) + get_args(Stmt)
+}
+
+
+def walk(node):
+    """Every syntax node under `node`, `node` first, in preorder."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            stack.extend(reversed(item))
+        elif type(item) in _FIELD_NAMES:
+            yield item
+            stack.extend(getattr(item, name) for name in reversed(_FIELD_NAMES[type(item)]))
+
+
+def rebuild(node, f):
+    """`node` rebuilt with `f(child)` in place of each child, called in field order."""
+    def child(value):
+        if type(value) is tuple:
+            return tuple(map(child, value))
+        return f(value) if type(value) in _FIELD_NAMES else value
+
+    return type(node)(*(child(getattr(node, name)) for name in _FIELD_NAMES[type(node)]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +344,7 @@ class _Parser:
             want = text if text is not None else kind
             raise ParseError(
                 f"expected {want!r}, found {tok.text or tok.kind!r}",
-                tok.line, tok.col, expected=want,
+                tok.line, tok.col,
             )
         return self.advance()
 
@@ -534,7 +523,7 @@ class _Parser:
             )
         raise ParseError(
             f"expected an expression, found {tok.text or tok.kind!r}",
-            tok.line, tok.col, expected="expression",
+            tok.line, tok.col,
         )
 
 
@@ -544,9 +533,7 @@ def parse_program(text: str, mode: Mode) -> Program:
     body = parser.parse_stmt()
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(
-            f"trailing input {tok.text!r}", tok.line, tok.col, expected="end of input",
-        )
+        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
     return make_program(mode, body)
 
 

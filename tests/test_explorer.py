@@ -200,6 +200,22 @@ def test_tree_search_respects_bounds():
         normal_form_traces(case.config(), case.bounds(max_steps_per_path=3))
 
 
+@pytest.mark.parametrize(
+    "name,bound_overrides,verdict",
+    [
+        ("loop", {"max_steps_per_path": 3}, Unknown(EXHAUSTED_STEPS, 1)),
+        ("fork_race", {"max_states": 3}, Unknown(EXHAUSTED_STATES, 1)),
+        ("forkfor_pointer", {"max_states": 20}, Unknown(EXHAUSTED_STATES, 7)),
+    ],
+)
+def test_tree_search_gives_up_loudly(name, bound_overrides, verdict):
+    case = corpus_case(name)
+    bounds = case.bounds(**bound_overrides)
+    assert oracle_explore(case.config(), bounds) == verdict
+    with pytest.raises(SearchBoundError):
+        normal_form_traces(case.config(), bounds)
+
+
 # ---------------------------------------------------------------------------
 # Single runs
 
@@ -220,6 +236,15 @@ def test_single_run_cutoff():
     case = corpus_case("loop")
     trace = run_single(case.config(), case.bounds(max_steps_per_path=5))
     assert trace.outcome == OUTCOME_CUTOFF and len(trace.steps) == 5
+
+
+def test_single_run_may_use_its_whole_step_budget():
+    program = parse_program("x = 1; y = 2", Mode.WHILEF)
+    c0 = initial_config(program, FileStore.of({}), {})
+    final = run_single(c0, Bounds(forkfor_max=2, max_steps_per_path=3))
+    assert final.outcome == OUTCOME_FINAL and len(final.steps) == 3
+    cut = run_single(c0, Bounds(forkfor_max=2, max_steps_per_path=2))
+    assert cut.outcome == OUTCOME_CUTOFF and len(cut.steps) == 2
 
 
 def test_single_runs_are_reproducible():
@@ -266,6 +291,13 @@ def test_relax_numbers_reads_in_program_order():
     relaxed = relax_program(prog)
     assert pretty_print(relaxed) == "(x, p__0) = read(f); (y, p__1) = read(g); (z, p__2) = read(f)"
     assert relaxed.files == prog.files
+
+
+def test_relax_drops_reads_inside_positions_unnumbered():
+    prog = parse_program("x = read(f, y = read(g, 0)); z = read(f, 1)", Mode.SAFE)
+    relaxed = relax_program(prog)
+    assert pretty_print(relaxed) == "(x, p__0) = read(f); (z, p__1) = read(f)"
+    assert prog.files == {"f", "g"} and relaxed.files == {"f"}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ from filesafe.syntax import (
     Var,
     While,
     files_of,
+    rebuild,
     tokenize,
+    walk,
 )
 
 from conftest import CORPUS
@@ -208,27 +210,25 @@ def test_files_of_collects_every_file():
     assert files_of(body("x = 1")) == set()
 
 
+def test_walk_is_preorder_and_flattens_tuple_fields():
+    stmt = body("forkif { (x, skip), (1, open(f); y = 2) }")
+    assert [type(n) for n in walk(stmt)] == [
+        ForkIf, Var, AtomStmt, Skip, IntLit, Seq, AtomStmt, Open, AtomStmt, Assign, Var, IntLit,
+    ]
+
+
+def test_rebuild_visits_children_in_order():
+    seen = []
+    stmt = body("fork { x = 1, y = 2 }")
+    assert rebuild(stmt, lambda child: seen.append(child) or child) == stmt
+    assert seen == list(stmt.branches)
+
+
 # ---------------------------------------------------------------------------
 # Corpus and round trips
 
 def test_corpus_parses_and_covers_the_grammar():
-    node_types = set()
-
-    def walk(node):
-        node_types.add(type(node))
-        for field in getattr(node, "__dataclass_fields__", {}):
-            value = getattr(node, field)
-            children = value if isinstance(value, tuple) else (value,)
-            for child in children:
-                if hasattr(child, "__dataclass_fields__"):
-                    walk(child)
-                elif isinstance(child, tuple):
-                    for sub in child:
-                        if hasattr(sub, "__dataclass_fields__"):
-                            walk(sub)
-
-    for case in CORPUS:
-        walk(case.program().body)
+    node_types = {type(node) for case in CORPUS for node in walk(case.program().body)}
     expected = {
         IntLit, Var, BinOp, And, Or, Assign, If, While, Open, Close,
         ReadND, ReadAt, Skip, AtomStmt, Seq, Fork, ForkFor, ForkIf,
