@@ -17,9 +17,7 @@ import json
 import sys
 import time
 
-from .errors import (
-    FileSafeError, MissingFileError, ModeError, ParseError, SpecError,
-)
+from .errors import MissingFileError, ParseError, SpecError
 from .explorer import (
     OUTCOME_FINAL, OUTCOME_STUCK, Safe, Unknown, Unsafe, explore, relax_program,
     run_single,
@@ -40,9 +38,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("program", help="program source file")
-    sub.add_argument("--mode", required=True, choices=["whilef", "safe"],
+    sub.add_argument("--mode", required=True, choices=[m.value for m in Mode],
                      help="which read form the program uses")
-    sub.add_argument("--read-mode", choices=["cursor", "oracle"], default=None,
+    sub.add_argument("--read-mode", choices=[m.value for m in ReadMode],
                      help="whilef read interpretation (whilef mode only)")
     sub.add_argument("--fs", metavar="PATH", default=None,
                      help="filesystem spec (JSON)")
@@ -182,13 +180,11 @@ def main(argv=None) -> int:
             return cmd_run(args)
         return cmd_relax(args)
     # UnicodeDecodeError: a program or spec file that is not UTF-8.
-    except (ParseError, ModeError, SpecError, MissingFileError, OSError,
+    # ParseError covers ModeError and NestedForkError.
+    except (ParseError, SpecError, MissingFileError, OSError,
             UnicodeDecodeError) as exc:
         print(f"filesafe: {exc}", file=sys.stderr)
         return 64
-    except FileSafeError as exc:
-        print(f"filesafe: {exc}", file=sys.stderr)
-        return 70
     except Exception as exc:
         # Last resort, so that no failure exits 1 and reads as "unsafe".
         print(f"filesafe: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

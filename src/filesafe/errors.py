@@ -16,15 +16,13 @@ class ParseError(FileSafeError):
         super().__init__(message)
 
 
-class ModeError(FileSafeError):
-    """A read form that does not belong to the selected dialect."""
+class ModeError(ParseError):
+    """A read form that does not belong to the selected dialect.
 
-    def __init__(self, message, line=None, col=None):
-        self.line = line
-        self.col = col
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
+    At parse time this is one more rejection of the source text, so it
+    carries a position and the CLI treats it as bad input.  Relaxing or
+    embedding a program of the wrong dialect raises it without one.
+    """
 
 
 class NestedForkError(ParseError):

@@ -121,21 +121,20 @@ class FileStore:
     def has(self, file: str) -> bool:
         return any(name == file for name, _, _ in self.entries)
 
-    def contents(self, file: str) -> tuple[int, ...]:
-        for name, data, _ in self.entries:
-            if name == file:
-                return data
+    def _entry(self, file: str) -> tuple[str, tuple[int, ...], int]:
+        for entry in self.entries:
+            if entry[0] == file:
+                return entry
         raise UnknownFileError(f"no such file in store: {file!r}")
+
+    def contents(self, file: str) -> tuple[int, ...]:
+        return self._entry(file)[1]
 
     def cursor(self, file: str) -> int:
-        for name, _, cur in self.entries:
-            if name == file:
-                return cur
-        raise UnknownFileError(f"no such file in store: {file!r}")
+        return self._entry(file)[2]
 
     def with_cursor(self, file: str, cursor: int) -> "FileStore":
-        if not self.has(file):
-            raise UnknownFileError(f"no such file in store: {file!r}")
+        self._entry(file)  # raises UnknownFileError
         return FileStore(tuple(
             (name, data, cursor if name == file else cur)
             for name, data, cur in self.entries
@@ -313,7 +312,7 @@ def load_fs_spec(
     if isinstance(source, str):
         try:
             doc = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
             raise SpecError(f"filesystem spec is not valid JSON: {exc}") from None
     else:
         doc = source

@@ -286,10 +286,11 @@ def _step_from_obj(entry):
 def format_frame(frame) -> str:
     if isinstance(frame, Ctrl):
         return _format_item(frame.item)
+    # The hole prints as the variable `_`, so the printer adds parentheses.
     if isinstance(frame, HoleOpRight):
-        return f"_ {frame.op} {format_atom(frame.right)}"
+        return format_atom(BinOp(frame.op, Var("_"), frame.right))
     if isinstance(frame, HoleOpLeft):
-        return f"{frame.left} {frame.op} _"
+        return format_atom(BinOp(frame.op, IntLit(frame.left), Var("_")))
     if isinstance(frame, HoleAssign):
         return f"{frame.target} = _"
     if isinstance(frame, HoleIf):

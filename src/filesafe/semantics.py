@@ -36,6 +36,7 @@ Rule names, with their choice kinds where not Unique:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 from .machine import (
@@ -175,30 +176,19 @@ def enumerate_interleavings(
 # ---------------------------------------------------------------------------
 # Step
 
-_COMPARISONS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+def _divide(a: int, b: int) -> int | None:
+    """Division truncating toward zero, not Python's floor; None for b == 0."""
+    if b == 0:
+        return None
+    return -(-a // b) if (a < 0) != (b < 0) else a // b
+
+
+# Literal arithmetic; None when the operation has no result.
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
 }
-
-
-def _apply_op(op: str, a: int, b: int) -> int | None:
-    """Literal arithmetic; None when the operation has no result."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            return None
-        # Truncation toward zero, not Python floor division.
-        return -(-a // b) if (a < 0) != (b < 0) else a // b
-    return 1 if _COMPARISONS[op](a, b) else 0
 
 
 def step(
@@ -248,14 +238,11 @@ def step(
             return out
 
         case ForkFor(body):
-            out = []
-            for k in range(bounds.forkfor_max + 1):
-                if k == 0:
-                    control = [Ctrl(Skip()), *rest]
-                else:
-                    control = [Ctrl(Fork((body,) * k)), *rest]
-                out.append(succ("forkfor", control, choice=ForkCount(k)))
-            return out
+            return [
+                succ("forkfor", [Ctrl(Fork((body,) * k) if k else Skip()), *rest],
+                     choice=ForkCount(k))
+                for k in range(bounds.forkfor_max + 1)
+            ]
 
         case ForkIf(arms):
             branches = tuple(
@@ -280,10 +267,10 @@ def step(
                     "op-freeze-right",
                     [ctrl(right), HoleOpLeft(left.n, op), *rest],
                 )]
-            result = _apply_op(op, left.n, right.n)
+            result = _OPS[op](left.n, right.n)
             if result is None:
                 return []
-            return [succ("op-apply", [Value(result), *rest])]
+            return [succ("op-apply", [Value(int(result)), *rest])]  # a bool as 1/0
 
         case And(left, right):
             return [succ("and-desugar", [Ctrl(If(left, right, IntLit(0))), *rest])]

@@ -209,6 +209,24 @@ def rebuild(node, f):
 
 
 # ---------------------------------------------------------------------------
+# Operator precedence, loosest first, shared by the parser and the printer.
+# Every binary operator is left-associative.
+
+_PREC_LOOSE, _PREC_OR, _PREC_AND, _PREC_CMP, _PREC_ADD, _PREC_MUL, _PREC_TIGHT = range(7)
+
+_BINOP_PREC = {
+    "||": _PREC_OR, "&&": _PREC_AND,
+    "==": _PREC_CMP, "!=": _PREC_CMP, "<=": _PREC_CMP,
+    ">=": _PREC_CMP, "<": _PREC_CMP, ">": _PREC_CMP,
+    "+": _PREC_ADD, "-": _PREC_ADD,
+    "*": _PREC_MUL, "/": _PREC_MUL,
+}
+
+_LOGICAL = {"&&": And, "||": Or}
+_LOGICAL_OP = {cls: op for op, cls in _LOGICAL.items()}
+
+
+# ---------------------------------------------------------------------------
 # Scanner
 
 KEYWORDS = {
@@ -217,10 +235,8 @@ KEYWORDS = {
     "fork", "forkfor", "forkif",
 }
 
-_SYMBOLS = (
-    "==", "!=", "<=", ">=", "&&", "||",
-    ";", ",", "(", ")", "{", "}", "=", "<", ">", "+", "-", "*", "/",
-)
+# Longest first, so that `<=` is never read as `<` then `=`.
+_SYMBOLS = sorted([*_BINOP_PREC, *";,(){}="], key=len, reverse=True)
 
 
 @dataclass(frozen=True)
@@ -247,9 +263,9 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() accepts, so not `²`
             start, start_col = i, col
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i, col = i + 1, col + 1
             toks.append(Token("int", text[start:i], line, start_col))
             continue
@@ -274,29 +290,6 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Operator precedence, loosest first, shared by the parser and the printer.
-# Every binary operator is left-associative.
-
-_PREC_LOOSE = 0
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_CMP = 3
-_PREC_ADD = 4
-_PREC_MUL = 5
-_PREC_TIGHT = 6
-
-_BINOP_PREC = {
-    "||": _PREC_OR, "&&": _PREC_AND,
-    "==": _PREC_CMP, "!=": _PREC_CMP, "<=": _PREC_CMP,
-    ">=": _PREC_CMP, "<": _PREC_CMP, ">": _PREC_CMP,
-    "+": _PREC_ADD, "-": _PREC_ADD,
-    "*": _PREC_MUL, "/": _PREC_MUL,
-}
-
-_LOGICAL = {"&&": And, "||": Or}
-
-
-# ---------------------------------------------------------------------------
 # Parser
 #
 # stmt    := item (';' item)* [';']
@@ -314,6 +307,9 @@ _LOGICAL = {"&&": And, "||": Or}
 #          | 'if' atom 'then' atom 'else' atom
 #          | 'while' atom 'do' atom
 #          | 'open' '(' IDENT ')' | 'close' '(' IDENT ')'
+
+_READ_FORMS = {Mode.WHILEF: "(x, p) = read(f)", Mode.SAFE: "x = read(f, pos)"}
+
 
 class _Parser:
     def __init__(self, toks: list[Token], mode: Mode):
@@ -378,23 +374,18 @@ class _Parser:
         self.fork_depth += 1
         try:
             self.expect("sym", "{")
-            if tok.text == "fork":
-                branches = [self.parse_stmt()]
+            if tok.text == "forkfor":
+                node = ForkFor(self.parse_stmt())
+            else:
+                forkif = tok.text == "forkif"
+                parse_one = self.parse_arm if forkif else self.parse_stmt
+                items = [parse_one()]
                 while self.at("sym", ","):
                     self.advance()
-                    branches.append(self.parse_stmt())
-                self.expect("sym", "}")
-                return Fork(tuple(branches))
-            if tok.text == "forkfor":
-                body = self.parse_stmt()
-                self.expect("sym", "}")
-                return ForkFor(body)
-            arms = [self.parse_arm()]
-            while self.at("sym", ","):
-                self.advance()
-                arms.append(self.parse_arm())
+                    items.append(parse_one())
+                node = ForkIf(tuple(items)) if forkif else Fork(tuple(items))
             self.expect("sym", "}")
-            return ForkIf(tuple(arms))
+            return node
         finally:
             self.fork_depth -= 1
 
@@ -405,6 +396,15 @@ class _Parser:
         stmt = self.parse_stmt()
         self.expect("sym", ")")
         return guard, stmt
+
+    def require_mode(self, mode: Mode, tok: Token) -> None:
+        """Raise ModeError at the read form starting at `tok` unless this is a `mode` program."""
+        if self.mode is not mode:
+            raise ModeError(
+                f"{_READ_FORMS[mode]} is the {mode.value} read form; "
+                f"{self.mode.value} programs read with {_READ_FORMS[self.mode]}",
+                tok.line, tok.col,
+            )
 
     # Atoms
 
@@ -436,12 +436,7 @@ class _Parser:
         self.expect("sym", "(")
         file = self.expect("ident").text
         self.expect("sym", ")")
-        if self.mode is not Mode.WHILEF:
-            raise ModeError(
-                "(x, p) = read(f) is the whilef read form; "
-                "safe programs read with x = read(f, pos)",
-                start.line, start.col,
-            )
+        self.require_mode(Mode.WHILEF, start)
         return ReadND(target, pointer, file)
 
     def parse_assign(self) -> Atom:
@@ -454,12 +449,7 @@ class _Parser:
             self.expect("sym", ",")
             pos = self.parse_atom()
             self.expect("sym", ")")
-            if self.mode is not Mode.SAFE:
-                raise ModeError(
-                    "x = read(f, pos) is the safe read form; "
-                    "whilef programs read with (x, p) = read(f)",
-                    read_tok.line, read_tok.col,
-                )
+            self.require_mode(Mode.SAFE, read_tok)
             return ReadAt(target, file, pos)
         return Assign(Var(target), self.parse_atom())
 
@@ -478,14 +468,23 @@ class _Parser:
     def parse_unary(self) -> Atom:
         if self.at("sym", "-") and self.at("int", ahead=1):
             self.advance()
-            return IntLit(-int(self.advance().text))
+            return self.parse_int(-1)
         return self.parse_primary()
+
+    def parse_int(self, sign: int = 1) -> IntLit:
+        tok = self.advance()
+        try:
+            return IntLit(sign * int(tok.text))
+        except ValueError:  # past Python's int-from-string digit limit
+            raise ParseError(
+                f"integer literal of {len(tok.text)} digits is too long",
+                tok.line, tok.col,
+            ) from None
 
     def parse_primary(self) -> Atom:
         tok = self.peek()
         if tok.kind == "int":
-            self.advance()
-            return IntLit(int(tok.text))
+            return self.parse_int()
         if tok.kind == "ident":
             self.advance()
             return Var(tok.text)
@@ -557,9 +556,7 @@ def _format(atom) -> tuple[str, int]:
         case Var(name):
             return name, _PREC_TIGHT
         case BinOp(left=left, right=right) | And(left, right) | Or(left, right):
-            op = atom.op if isinstance(atom, BinOp) else (
-                "&&" if isinstance(atom, And) else "||"
-            )
+            op = atom.op if isinstance(atom, BinOp) else _LOGICAL_OP[type(atom)]
             prec = _BINOP_PREC[op]
             # Left-associative: the right operand must bind tighter.
             return (

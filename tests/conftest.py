@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,3 +128,13 @@ def fired_rules(
 @pytest.fixture
 def corpus():
     return CORPUS
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default 4,300-digit int/str conversion limit for one test,
+    whatever PYTHONINTMAXSTRDIGITS says."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used."""
+"""Every module-level import and private name in the package is used."""
 
 import ast
 from pathlib import Path
@@ -23,10 +23,40 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level `_x` functions, classes and variables `source` never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        name for name in bound
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd(b)\n") == ["os"]
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = "_a = 1\n_b, c = 2, 3\n__all__ = []\ndef _f(): return _a\nclass _K: pass\n_K()\n"
+    assert unread_private_names(source) == ["_b", "_f"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []

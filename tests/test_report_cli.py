@@ -29,7 +29,7 @@ from filesafe import (
     validate_trace,
 )
 from filesafe.cli import main
-from filesafe.machine import HoleOpLeft, is_final
+from filesafe.machine import HoleOpLeft, HoleOpRight, is_final
 from filesafe.report import (
     config_from_obj,
     config_to_obj,
@@ -42,6 +42,7 @@ from filesafe.report import (
     trace_from_obj,
     trace_to_obj,
 )
+from filesafe.syntax import BinOp, Var
 
 from conftest import CORPUS, corpus_case
 
@@ -111,6 +112,10 @@ def _binop(**keys):
     return {"node": "binop", "op": "+", **keys}
 
 
+def _trace(**keys):
+    return {"start": _open_twice_config(), "steps": [], "outcome": "stuck", **keys}
+
+
 def _report(**keys):
     report = Report("safe", states=6, normal_forms=1, witness=None, exhausted=None,
                     frontier=None, bounds={"forkfor_max": 2}, flags={"mode": "whilef"})
@@ -138,10 +143,17 @@ def _report(**keys):
     lambda: Report.from_obj(_report(flags=[])),
     lambda: Report.from_obj(_report(wall_time_ms="5")),
     lambda: Report.from_obj(_report(verdict="maybe")),
+    # Containers of the wrong JSON type inside a configuration and a trace.
+    lambda: config_from_obj({**_open_twice_config(), "control": {}}),
+    lambda: config_from_obj({**_open_twice_config(), "files": []}),
+    lambda: trace_from_obj(_trace(steps={})),
+    # A trace step with the right number of keys, all of them wrong.
+    lambda: trace_from_obj(_trace(steps=[{"a": 0, "b": 0, "c": 0, "d": 0}])),
 ], ids=[
     "report-keys", "missing-key", "list-node", "mode", "extra-key", "tag",
     "scalar-node", "scalar-type", "bounds-list", "flags-list",
-    "wall-time-string", "verdict-unknown",
+    "wall-time-string", "verdict-unknown", "control-object", "files-list",
+    "steps-object", "step-keys",
 ])
 def test_malformed_documents_raise_spec_error(load):
     with pytest.raises(SpecError):
@@ -153,6 +165,10 @@ def test_malformed_documents_raise_spec_error(load):
 
 def test_frame_and_choice_formatting():
     assert format_frame(HoleOpLeft(2, "+")) == "2 + _"
+    sum_ = BinOp("+", Var("b"), Var("c"))
+    assert format_frame(HoleOpRight("*", sum_)) == "_ * (b + c)"
+    assert format_frame(HoleOpRight("+", sum_)) == "_ + (b + c)"
+    assert format_frame(HoleOpRight("+", BinOp("*", Var("b"), Var("c")))) == "_ + b * c"
     assert format_choice(UNIQUE) == "-"
     assert format_choice(ForkCount(2)) == "k=2"
     assert format_choice(OraclePos(1)) == "n=1"
@@ -329,13 +345,21 @@ def test_relax_to_file_round_trips(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # Usage errors
 
-def test_usage_errors_exit_64(tmp_path, capsys):
+def test_usage_errors_exit_64(tmp_path, capsys, default_digit_limit):
     bad_prog = tmp_path / "bad.wf"
     bad_prog.write_text("x = ")
     bad_fs = tmp_path / "bad.json"
     bad_fs.write_text("{nope")
     latin1 = tmp_path / "latin1.wf"
     latin1.write_bytes(b"x = \xff;")
+    superscript = tmp_path / "superscript.wf"
+    superscript.write_text("x = \u00b2;", encoding="utf-8")  # a digit int() rejects
+    long_literal = tmp_path / "long.wf"
+    long_literal.write_text("x = " + "9" * 5000 + ";")
+    long_fs = tmp_path / "long.json"
+    long_fs.write_text('{"f": {"contents": [' + "9" * 5000 + "]}}")
+    deep_fs = tmp_path / "deep.json"
+    deep_fs.write_text("[" * 100_000 + "]" * 100_000)
     wf = corpus_case("seq_read").path
     swf = corpus_case("safe_read").path
     cases = [
@@ -353,9 +377,20 @@ def test_usage_errors_exit_64(tmp_path, capsys):
         ["run", str(wf), "--mode", "whilef", "--seed", "1", "--first"],
         ["relax", str(wf)],  # whilef source cannot be parsed as safe
     ]
+    # Inputs past Python's limits, each reported on one line.
+    one_line = [
+        ["check", str(superscript), "--mode", "whilef"],
+        ["check", str(long_literal), "--mode", "whilef"],
+        ["check", str(wf), "--mode", "whilef", "--fs", str(long_fs)],
+        ["check", str(wf), "--mode", "whilef", "--fs", str(deep_fs)],
+    ]
     for argv in cases:
         assert main(argv) == 64, argv
         capsys.readouterr()  # drop the diagnostics
+    for argv in one_line:
+        assert main(argv) == 64, argv
+        err = capsys.readouterr().err
+        assert err.startswith("filesafe: ") and err.count("\n") == 1, argv
 
 
 def test_diagnostics_go_to_stderr(capsys):

@@ -175,7 +175,7 @@ def test_read_forms_are_mode_exclusive():
         parse_program("(x, p) = read(f)", SAFE)
 
 
-def test_parse_errors_carry_positions():
+def test_parse_errors_carry_positions(default_digit_limit):
     with pytest.raises(ParseError, match=r"line 2"):
         parse_program("x = 1;\ny = ", WF)
     with pytest.raises(ParseError):
@@ -184,6 +184,10 @@ def test_parse_errors_carry_positions():
         parse_program("x = 1 y = 2", WF)
     with pytest.raises(ParseError):
         parse_program("skip = 3", WF)
+    with pytest.raises(ParseError, match="only on the right"):
+        parse_program("x = 1 + read(f)", WF)
+    with pytest.raises(ParseError, match="5000 digits .*line 1, column 6"):
+        parse_program("x = -" + "9" * 5000, WF)
 
 
 def test_keywords_are_not_identifiers():
