@@ -261,7 +261,7 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch == "#":
             while i < n and text[i] != "\n":
-                i += 1
+                i, col = i + 1, col + 1
             continue
         if ch.isdecimal():  # the digits int() accepts, so not `²`
             start, start_col = i, col

@@ -75,6 +75,27 @@ def test_tokenize_rejects_stray_characters():
         tokenize("x = $")
 
 
+# Pieces that scan without error; `#` comments may hold any other character.
+_PIECES = st.sampled_from([
+    "x", "y_1", "x²", "٣", "42", "if", "then", "forkif", "read",
+    "<=", "<", "==", "=", "&&", "||", ";", ",", "(", ")", "{", "}", "-",
+    " ", "\t", "\r", "\n",
+])
+_COMMENTS = st.text(st.characters(blacklist_characters="\n"), max_size=8).map(lambda c: "#" + c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_PIECES, _COMMENTS), max_size=30))
+def test_token_positions_locate_their_text(pieces):
+    text = "".join(pieces)
+    lines = text.split("\n")
+    toks = tokenize(text)
+    for tok in toks[:-1]:
+        line = lines[tok.line - 1]
+        assert line[tok.col - 1:tok.col - 1 + len(tok.text)] == tok.text, tok
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("eof", len(lines), len(lines[-1]) + 1)
+
+
 # ---------------------------------------------------------------------------
 # Statements and sequencing
 
