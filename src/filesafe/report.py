@@ -21,8 +21,7 @@ from .machine import (
 from .semantics import ForkCount, Interleave, OraclePos, RuleInstance, Unique
 from .syntax import (
     And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
-    Open, Close, Or, ReadAt, ReadND, Seq, Skip, Stmt, Var, While,
-    format_atom, format_stmt,
+    Open, Close, Or, ReadAt, ReadND, Seq, Skip, Var, While, format_node,
 )
 from .explorer import Trace
 
@@ -285,18 +284,18 @@ def _step_from_obj(entry):
 
 def format_frame(frame) -> str:
     if isinstance(frame, Ctrl):
-        return _format_item(frame.item)
+        return format_node(frame.item)
     # The hole prints as the variable `_`, so the printer adds parentheses.
     if isinstance(frame, HoleOpRight):
-        return format_atom(BinOp(frame.op, Var("_"), frame.right))
+        return format_node(BinOp(frame.op, Var("_"), frame.right))
     if isinstance(frame, HoleOpLeft):
-        return format_atom(BinOp(frame.op, IntLit(frame.left), Var("_")))
+        return format_node(BinOp(frame.op, IntLit(frame.left), Var("_")))
     if isinstance(frame, HoleAssign):
         return f"{frame.target} = _"
     if isinstance(frame, HoleIf):
         return (
-            f"if _ then {_format_item(frame.then_body)} "
-            f"else {_format_item(frame.else_body)}"
+            f"if _ then {format_node(frame.then_body)} "
+            f"else {format_node(frame.else_body)}"
         )
     if isinstance(frame, HoleRead):
         return f"{frame.target} = read({frame.file}, _)"
@@ -305,10 +304,6 @@ def format_frame(frame) -> str:
     if isinstance(frame, Value):
         return str(frame.n)
     raise TypeError(f"not a frame: {frame!r}")
-
-
-def _format_item(item) -> str:
-    return format_stmt(item) if isinstance(item, Stmt) else format_atom(item)
 
 
 def summarize_control(control, limit: int = 3) -> str:

@@ -19,6 +19,7 @@ is rejected at parse time with ModeError.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, fields
 from typing import get_args
 
@@ -247,45 +248,34 @@ class Token:
     col: int
 
 
+# `\d` is `str.isdecimal` (the digits int() accepts, so not `²`) and `\w`
+# is `str.isalnum` or `_`.  tokenize rejects a word (keyword or identifier)
+# that does not start with a letter or `_`, such as `²`.
+_TOKEN = re.compile("|".join([
+    r"(?P<blank>[ \t\r]+|#[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<int>\d+)",
+    r"(?P<ident>\w+)",
+    "(?P<sym>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+]))
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i, col = i + 1, col + 1
-            continue
-        if ch.isdecimal():  # the digits int() accepts, so not `²`
-            start, start_col = i, col
-            while i < n and text[i].isdecimal():
-                i, col = i + 1, col + 1
-            toks.append(Token("int", text[start:i], line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_col = i, col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i, col = i + 1, col + 1
-            word = text[start:i]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, start_col))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind, col = match and match.lastgroup, pos - line_start + 1
+        if kind is None or kind == "ident" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        pos = match.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind != "blank":
+            word = match.group()
+            kind = "kw" if kind == "ident" and word in KEYWORDS else kind
+            toks.append(Token(kind, word, line, col))
+    toks.append(Token("eof", "", line, pos - line_start + 1))
     return toks
 
 
@@ -307,22 +297,32 @@ def tokenize(text: str) -> list[Token]:
 #          | 'if' atom 'then' atom 'else' atom
 #          | 'while' atom 'do' atom
 #          | 'open' '(' IDENT ')' | 'close' '(' IDENT ')'
+#
+# A token test names a "want": a kind ("ident", "int", "eof") or the text
+# of a symbol or keyword.  No kind is spelled like a symbol or keyword.
 
 _READ_FORMS = {Mode.WHILEF: "(x, p) = read(f)", Mode.SAFE: "x = read(f, pos)"}
+_READ_ND_HEAD = ("(", "ident", ",", "ident", ")", "=")
+
+# Every nested form re-enters parse_atom; this bounds its depth, and so
+# the recursion of the parser and of every later walk over the tree.
+MAX_NESTING = 100
 
 
 class _Parser:
+    """Single-use: an exception abandons it."""
+
     def __init__(self, toks: list[Token], mode: Mode):
         self.toks = toks
         self.mode = mode
         self.pos = 0
-        self.fork_depth = 0
+        self.depth = 0
+        self.in_fork = False
 
     # Token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.toks) - 1)
-        return self.toks[i]
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def advance(self) -> Token:
         tok = self.toks[self.pos]
@@ -330,29 +330,33 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at(self, kind: str, text: str | None = None, ahead: int = 0) -> bool:
+    def at(self, *wants: str, ahead: int = 0) -> bool:
         tok = self.peek(ahead)
-        return tok.kind == kind and (text is None or tok.text == text)
+        return (tok.text if tok.kind in ("kw", "sym") else tok.kind) in wants
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
+    def accept(self, want: str) -> Token | None:
+        return self.advance() if self.at(want) else None
+
+    def expect(self, want: str) -> Token:
+        if not self.at(want):
             tok = self.peek()
-            want = text if text is not None else kind
             raise ParseError(
-                f"expected {want!r}, found {tok.text or tok.kind!r}",
-                tok.line, tok.col,
+                f"expected {want!r}, found {tok.text or tok.kind!r}", tok.line, tok.col,
             )
         return self.advance()
+
+    def file_arg(self, then: str) -> str:
+        """The file named by `( IDENT`, which `then` must follow."""
+        self.expect("(")
+        file = self.expect("ident").text
+        self.expect(then)
+        return file
 
     # Statements
 
     def parse_stmt(self) -> Stmt:
         items = [self.parse_item()]
-        while self.at("sym", ";"):
-            self.advance()
-            if self.at("eof") or self.at("sym", "}") or self.at("sym", ")") \
-                    or self.at("sym", ","):
-                break  # trailing semicolon
+        while self.accept(";") and not self.at("eof", "}", ")", ","):  # trailing `;`
             items.append(self.parse_item())
         stmt = items[-1]
         for s in reversed(items[:-1]):
@@ -360,41 +364,37 @@ class _Parser:
         return stmt
 
     def parse_item(self) -> Stmt:
-        if self.at("kw", "fork") or self.at("kw", "forkfor") or self.at("kw", "forkif"):
+        if self.at("fork", "forkfor", "forkif"):
             return self.parse_fork()
         return AtomStmt(self.parse_atom())
 
     def parse_fork(self) -> Stmt:
         tok = self.advance()
-        if self.fork_depth:
+        if self.in_fork:
             raise NestedForkError(
-                f"{tok.text} may not appear inside a fork branch",
-                tok.line, tok.col,
+                f"{tok.text} may not appear inside a fork branch", tok.line, tok.col,
             )
-        self.fork_depth += 1
-        try:
-            self.expect("sym", "{")
-            if tok.text == "forkfor":
-                node = ForkFor(self.parse_stmt())
-            else:
-                forkif = tok.text == "forkif"
-                parse_one = self.parse_arm if forkif else self.parse_stmt
-                items = [parse_one()]
-                while self.at("sym", ","):
-                    self.advance()
-                    items.append(parse_one())
-                node = ForkIf(tuple(items)) if forkif else Fork(tuple(items))
-            self.expect("sym", "}")
-            return node
-        finally:
-            self.fork_depth -= 1
+        self.in_fork = True
+        self.expect("{")
+        if tok.text == "forkfor":
+            node = ForkFor(self.parse_stmt())
+        else:
+            forkif = tok.text == "forkif"
+            parse_one = self.parse_arm if forkif else self.parse_stmt
+            items = [parse_one()]
+            while self.accept(","):
+                items.append(parse_one())
+            node = ForkIf(tuple(items)) if forkif else Fork(tuple(items))
+        self.expect("}")
+        self.in_fork = False
+        return node
 
     def parse_arm(self) -> tuple[Atom, Stmt]:
-        self.expect("sym", "(")
+        self.expect("(")
         guard = self.parse_atom()
-        self.expect("sym", ",")
+        self.expect(",")
         stmt = self.parse_stmt()
-        self.expect("sym", ")")
+        self.expect(")")
         return guard, stmt
 
     def require_mode(self, mode: Mode, tok: Token) -> None:
@@ -409,49 +409,36 @@ class _Parser:
     # Atoms
 
     def parse_atom(self) -> Atom:
-        if self._at_read_nd():
-            return self.parse_read_nd()
-        if self.at("ident") and self.at("sym", "=", ahead=1):
-            return self.parse_assign()
-        return self.parse_binary(_PREC_OR)
-
-    def _at_read_nd(self) -> bool:
-        return (
-            self.at("sym", "(")
-            and self.at("ident", ahead=1)
-            and self.at("sym", ",", ahead=2)
-            and self.at("ident", ahead=3)
-            and self.at("sym", ")", ahead=4)
-            and self.at("sym", "=", ahead=5)
-        )
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        if all(self.at(want, ahead=i) for i, want in enumerate(_READ_ND_HEAD)):
+            atom = self.parse_read_nd()
+        elif self.at("ident") and self.at("=", ahead=1):
+            atom = self.parse_assign()
+        else:
+            atom = self.parse_binary(_PREC_OR)
+        self.depth -= 1
+        return atom
 
     def parse_read_nd(self) -> Atom:
-        start = self.expect("sym", "(")
-        target = self.advance().text
-        self.advance()  # ','
-        pointer = self.advance().text
-        self.advance()  # ')'
-        self.advance()  # '='
-        self.expect("kw", "read")
-        self.expect("sym", "(")
-        file = self.expect("ident").text
-        self.expect("sym", ")")
+        start, target, _, pointer, _, _ = [self.advance() for _ in _READ_ND_HEAD]
+        self.expect("read")
+        file = self.file_arg(")")
         self.require_mode(Mode.WHILEF, start)
-        return ReadND(target, pointer, file)
+        return ReadND(target.text, pointer.text, file)
 
     def parse_assign(self) -> Atom:
-        target = self.advance().text
-        self.advance()  # '='
-        if self.at("kw", "read"):
-            read_tok = self.advance()
-            self.expect("sym", "(")
-            file = self.expect("ident").text
-            self.expect("sym", ",")
-            pos = self.parse_atom()
-            self.expect("sym", ")")
-            self.require_mode(Mode.SAFE, read_tok)
-            return ReadAt(target, file, pos)
-        return Assign(Var(target), self.parse_atom())
+        target, _ = self.advance(), self.advance()  # IDENT '='
+        read_tok = self.accept("read")
+        if not read_tok:
+            return Assign(Var(target.text), self.parse_atom())
+        file = self.file_arg(",")
+        pos = self.parse_atom()
+        self.expect(")")
+        self.require_mode(Mode.SAFE, read_tok)
+        return ReadAt(target.text, file, pos)
 
     def parse_binary(self, min_prec: int) -> Atom:
         """Operators binding at least as tightly as `min_prec`, left-associative."""
@@ -466,7 +453,7 @@ class _Parser:
             left = _LOGICAL[op](left, right) if op in _LOGICAL else BinOp(op, left, right)
 
     def parse_unary(self) -> Atom:
-        if self.at("sym", "-") and self.at("int", ahead=1):
+        if self.at("-") and self.at("int", ahead=1):
             self.advance()
             return self.parse_int(-1)
         return self.parse_primary()
@@ -483,46 +470,36 @@ class _Parser:
 
     def parse_primary(self) -> Atom:
         tok = self.peek()
-        if tok.kind == "int":
+        if self.at("int"):
             return self.parse_int()
-        if tok.kind == "ident":
-            self.advance()
+        if self.accept("ident"):
             return Var(tok.text)
-        if self.at("sym", "("):
-            self.advance()
+        if self.accept("("):
             atom = self.parse_atom()
-            self.expect("sym", ")")
+            self.expect(")")
             return atom
-        if self.at("kw", "skip"):
-            self.advance()
+        if self.accept("skip"):
             return Skip()
-        if self.at("kw", "if"):
-            self.advance()
+        if self.accept("if"):
             cond = self.parse_atom()
-            self.expect("kw", "then")
+            self.expect("then")
             then_body = self.parse_atom()
-            self.expect("kw", "else")
-            else_body = self.parse_atom()
-            return If(cond, then_body, else_body)
-        if self.at("kw", "while"):
-            self.advance()
+            self.expect("else")
+            return If(cond, then_body, self.parse_atom())
+        if self.accept("while"):
             cond = self.parse_atom()
-            self.expect("kw", "do")
+            self.expect("do")
             return While(cond, self.parse_atom())
-        if self.at("kw", "open") or self.at("kw", "close"):
-            word = self.advance().text
-            self.expect("sym", "(")
-            file = self.expect("ident").text
-            self.expect("sym", ")")
-            return Open(file) if word == "open" else Close(file)
-        if self.at("kw", "read"):
+        if self.at("open", "close"):
+            self.advance()
+            file = self.file_arg(")")
+            return Open(file) if tok.text == "open" else Close(file)
+        if self.at("read"):
             raise ParseError(
-                "read appears only on the right of an assignment",
-                tok.line, tok.col,
+                "read appears only on the right of an assignment", tok.line, tok.col,
             )
         raise ParseError(
-            f"expected an expression, found {tok.text or tok.kind!r}",
-            tok.line, tok.col,
+            f"expected an expression, found {tok.text or tok.kind!r}", tok.line, tok.col,
         )
 
 
@@ -539,85 +516,64 @@ def parse_program(text: str, mode: Mode) -> Program:
 # ---------------------------------------------------------------------------
 # Pretty printer
 #
-# Assignment, if, while and the read forms are self-bracketing only in
-# statement position; as an operand they are parenthesized.
+# One printer for atoms and statements.  Assignment, if, while and the
+# read forms are self-bracketing only at the loosest level; as an operand
+# or an if branch they are parenthesized.  Statements bind tightest, so
+# they never get parentheses (a while unrolling puts one in an if branch,
+# which only the machine ever prints, never for reparsing), and their
+# parts print at the loosest level.
 
-def format_atom(atom, min_prec: int = _PREC_LOOSE) -> str:
-    text, prec = _format(atom)
-    if prec < min_prec:
-        return f"({text})"
-    return text
+def format_node(node, min_prec: int = _PREC_LOOSE) -> str:
+    text, prec = _format(node)
+    return f"({text})" if prec < min_prec else text
 
 
-def _format(atom) -> tuple[str, int]:
-    match atom:
+def _format(node) -> tuple[str, int]:
+    match node:
         case IntLit(n):
             return str(n), _PREC_TIGHT
         case Var(name):
             return name, _PREC_TIGHT
         case BinOp(left=left, right=right) | And(left, right) | Or(left, right):
-            op = atom.op if isinstance(atom, BinOp) else _LOGICAL_OP[type(atom)]
+            op = node.op if isinstance(node, BinOp) else _LOGICAL_OP[type(node)]
             prec = _BINOP_PREC[op]
             # Left-associative: the right operand must bind tighter.
-            return (
-                f"{format_atom(left, prec)} {op} {format_atom(right, prec + 1)}",
-                prec,
-            )
+            return f"{format_node(left, prec)} {op} {format_node(right, prec + 1)}", prec
         case Assign(Var(name), value):
-            return f"{name} = {format_atom(value, _PREC_LOOSE)}", _PREC_LOOSE
+            return f"{name} = {format_node(value)}", _PREC_LOOSE
         case If(cond, then_body, else_body):
             return (
-                f"if {format_atom(cond)} then {_format_branch(then_body)} "
-                f"else {_format_branch(else_body)}",
+                f"if {format_node(cond)} then {format_node(then_body, _PREC_OR)} "
+                f"else {format_node(else_body, _PREC_OR)}",
                 _PREC_LOOSE,
             )
         case While(cond, body):
-            return (
-                f"while {format_atom(cond)} do {format_atom(body)}",
-                _PREC_LOOSE,
-            )
-        case Open(f):
-            return f"open({f})", _PREC_TIGHT
-        case Close(f):
-            return f"close({f})", _PREC_TIGHT
+            return f"while {format_node(cond)} do {format_node(body)}", _PREC_LOOSE
+        case Open(f) | Close(f):
+            return f"{'open' if type(node) is Open else 'close'}({f})", _PREC_TIGHT
         case ReadND(x, p, f):
             return f"({x}, {p}) = read({f})", _PREC_LOOSE
         case ReadAt(x, f, pos):
-            return f"{x} = read({f}, {format_atom(pos)})", _PREC_LOOSE
+            return f"{x} = read({f}, {format_node(pos)})", _PREC_LOOSE
         case Skip():
             return "skip", _PREC_TIGHT
-    raise TypeError(f"not an atom: {atom!r}")
-
-
-def _format_branch(body) -> str:
-    # A while unrolling puts a statement in an if branch; only the machine
-    # ever prints such a node, and never for reparsing.
-    if isinstance(body, Stmt):
-        return format_stmt(body)
-    return format_atom(body, _PREC_OR)
-
-
-def format_stmt(stmt: Stmt) -> str:
-    match stmt:
         case AtomStmt(atom):
-            return format_atom(atom)
+            return format_node(atom), _PREC_TIGHT
         case Seq(first, second):
-            return f"{format_stmt(first)}; {format_stmt(second)}"
+            return f"{format_node(first)}; {format_node(second)}", _PREC_TIGHT
         case Fork(branches):
-            return "fork{" + ", ".join(format_stmt(b) for b in branches) + "}"
+            return "fork{" + ", ".join(map(format_node, branches)) + "}", _PREC_TIGHT
         case ForkFor(body):
-            return "forkfor{" + format_stmt(body) + "}"
+            return "forkfor{" + format_node(body) + "}", _PREC_TIGHT
         case ForkIf(arms):
-            inner = ", ".join(
-                f"({format_atom(guard)}, {format_stmt(s)})" for guard, s in arms
-            )
-            return "forkif{" + inner + "}"
-    raise TypeError(f"not a statement: {stmt!r}")
+            inner = ", ".join(f"({format_node(guard)}, {format_node(s)})" for guard, s in arms)
+            return "forkif{" + inner + "}", _PREC_TIGHT
+    raise TypeError(f"not a syntax node: {node!r}")
 
 
 def pretty_print(program: Program) -> str:
     """Render a program so that parsing the result reproduces it exactly."""
-    return format_stmt(program.body)
+    return format_node(program.body)
 
 
 # ---------------------------------------------------------------------------
