@@ -14,6 +14,7 @@ canonical for free.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -312,8 +313,15 @@ def load_fs_spec(
     if isinstance(source, str):
         try:
             doc = json.loads(source)
-        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        except json.JSONDecodeError as exc:
             raise SpecError(f"filesystem spec is not valid JSON: {exc}") from None
+        except ValueError:  # the only other one: int() past its digit limit
+            raise SpecError(
+                "filesystem spec has an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+        except RecursionError:
+            raise SpecError("filesystem spec is nested too deeply") from None
     else:
         doc = source
     if not isinstance(doc, dict):

@@ -356,6 +356,31 @@ def test_stuck_on_a_negative_position_has_no_counterpart():
         embed_trace(trace, relaxed)
 
 
+# Safe-dialect source run with file f open, the relaxed source it is
+# embedded into, whether its steps are cut to none, and the complaint.
+MISMATCHED_EMBEDDINGS = {
+    "cut": ("i = 0; while i < 5 do i = i + 1", None, True, "did not terminate"),
+    "extra read": ("x = read(f, 0); close(f)", "close(f)", False, "unused choices"),
+    "stuck": ("close(f); close(f)", "skip", False, "outcome differs"),
+    "fork over read": ("fork { skip, close(f) }", "x = read(f, 0)", False, "not a read position"),
+    "three branches": (
+        "fork { skip, skip, skip }", "fork { skip, skip }", False, "not available",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISMATCHED_EMBEDDINGS))
+def test_embedding_rejects_traces_that_do_not_replay(name):
+    source, target, cut, message = MISMATCHED_EMBEDDINGS[name]
+    program = parse_program(source, Mode.SAFE)
+    trace = run_single(initial_config(program, FileStore.of({"f": (7,)}), {"f": "o"}), B)
+    if cut:
+        trace = Trace(trace.start, ())
+    relaxed = relax_program(parse_program(target or source, Mode.SAFE))
+    with pytest.raises(InvalidTraceError, match=message):
+        embed_trace(trace, relaxed)
+
+
 # ---------------------------------------------------------------------------
 # Annotating observed positions back onto a deterministic run
 

@@ -360,6 +360,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, default_digit_limit):
     long_fs.write_text('{"f": {"contents": [' + "9" * 5000 + "]}}")
     deep_fs = tmp_path / "deep.json"
     deep_fs.write_text("[" * 100_000 + "]" * 100_000)
+    deep_prog = tmp_path / "deep.wf"
+    deep_prog.write_text("x = " + "(" * 100_000 + "1" + ")" * 100_000)
     wf = corpus_case("seq_read").path
     swf = corpus_case("safe_read").path
     cases = [
@@ -377,20 +379,60 @@ def test_usage_errors_exit_64(tmp_path, capsys, default_digit_limit):
         ["run", str(wf), "--mode", "whilef", "--seed", "1", "--first"],
         ["relax", str(wf)],  # whilef source cannot be parsed as safe
     ]
-    # Inputs past Python's limits, each reported on one line.
+    # Inputs past Python's limits, each reported on one line that names the cause.
     one_line = [
-        ["check", str(superscript), "--mode", "whilef"],
-        ["check", str(long_literal), "--mode", "whilef"],
-        ["check", str(wf), "--mode", "whilef", "--fs", str(long_fs)],
-        ["check", str(wf), "--mode", "whilef", "--fs", str(deep_fs)],
+        (["check", str(superscript), "--mode", "whilef"], "unexpected character '²'"),
+        (["check", str(long_literal), "--mode", "whilef"], "literal of 5000 digits"),
+        (["check", str(wf), "--mode", "whilef", "--fs", str(long_fs)],
+         "integer of more than 4300 digits"),
+        (["check", str(wf), "--mode", "whilef", "--fs", str(deep_fs)], "nested too deeply"),
+        (["check", str(deep_prog), "--mode", "whilef"], "nesting deeper than 100 levels"),
     ]
     for argv in cases:
         assert main(argv) == 64, argv
         capsys.readouterr()  # drop the diagnostics
-    for argv in one_line:
+    for argv, cause in one_line:
         assert main(argv) == 64, argv
         err = capsys.readouterr().err
         assert err.startswith("filesafe: ") and err.count("\n") == 1, argv
+        assert cause in err and "not valid JSON" not in err, err
+
+
+# Programs nesting one form `n` levels deep, with the dialect they are in.
+NESTED = {
+    "parentheses": (Mode.WHILEF, lambda n: "x = " + "(" * n + "1 / 0" + ")" * n),
+    "if": (Mode.WHILEF, lambda n: "if 1 then skip else " * n + "skip"),
+    "while": (Mode.WHILEF, lambda n: "while 0 do " * n + "skip"),
+    "assignment": (Mode.WHILEF, lambda n: "x = " * n + "1"),
+    "read position": (Mode.SAFE, lambda n: "open(f); " + "x = read(f, " * n + "0" + ")" * n),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_ladder_ends_in_a_verdict_or_64(shape, tmp_path, capsys):
+    mode, make = NESTED[shape]
+    path, report = tmp_path / "nested.prog", tmp_path / "report.json"
+
+    def commands():
+        yield ["check", str(path), "--mode", mode.value, "--json", str(report)]
+        yield ["run", str(path), "--mode", mode.value]
+        if mode is Mode.SAFE:
+            yield ["relax", str(path), str(tmp_path / "relaxed.wf")]
+
+    path.write_text(make(98))
+    for argv in commands():
+        assert main(argv) in (0, 1, 2), argv
+        capsys.readouterr()
+    reloaded = Report.from_obj(json.loads(report.read_text()))
+    if reloaded.witness is not None:
+        trace_from_obj(reloaded.witness)
+    for n in (100, 300):
+        path.write_text(make(n))
+        for argv in commands():
+            assert main(argv) == 64, (n, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("filesafe: nesting deeper than 100 levels (line 1, column ")
+            assert err.count("\n") == 1, (n, argv)
 
 
 def test_diagnostics_go_to_stderr(capsys):
