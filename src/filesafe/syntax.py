@@ -304,9 +304,9 @@ def tokenize(text: str) -> list[Token]:
 _READ_FORMS = {Mode.WHILEF: "(x, p) = read(f)", Mode.SAFE: "x = read(f, pos)"}
 _READ_ND_HEAD = ("(", "ident", ",", "ident", ")", "=")
 
-# Every nested form re-enters parse_atom; this bounds its depth, and so
-# the recursion of the parser and of every later walk over the tree.
-MAX_NESTING = 100
+# Every nested form re-enters parse_atom, so bounding its depth bounds
+# the parser's recursion.  The README documents the limit.
+_MAX_NESTING = 100
 
 
 class _Parser:
@@ -410,9 +410,9 @@ class _Parser:
 
     def parse_atom(self) -> Atom:
         self.depth += 1
-        if self.depth > MAX_NESTING:
+        if self.depth > _MAX_NESTING:
             tok = self.peek()
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", tok.line, tok.col)
         if all(self.at(want, ahead=i) for i, want in enumerate(_READ_ND_HEAD)):
             atom = self.parse_read_nd()
         elif self.at("ident") and self.at("=", ahead=1):
