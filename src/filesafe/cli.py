@@ -13,7 +13,6 @@ standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -23,7 +22,7 @@ from .explorer import (
     run_single,
 )
 from .machine import initial_config, load_fs_spec
-from .report import Report, format_step, summarize_control, trace_to_obj
+from .report import Report, format_step, summarize_control, trace_to_obj, write_json
 from .semantics import Bounds, ReadMode
 from .syntax import Mode, parse_program, pretty_print
 
@@ -134,8 +133,7 @@ def cmd_check(args) -> int:
     )
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_obj(), handle, indent=2)
-            handle.write("\n")
+            write_json(report.to_obj(), handle)
         print(f"verdict: {report.verdict}")
     else:
         sys.stdout.write(report.render_text())

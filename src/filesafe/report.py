@@ -10,7 +10,8 @@ frames to keep traces readable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from operator import attrgetter, index
+from json.encoder import encode_basestring_ascii
+from operator import index
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import SpecError
@@ -59,13 +60,25 @@ _TAGS = {
 _RENAMED = {"then_body": "then", "else_body": "else"}
 
 
-def encode(x) -> dict:
-    """The JSON object of a syntax node, control frame or rule choice."""
+def encode(x, memo=None) -> dict:
+    """The JSON object of a syntax node, control frame or rule choice.
+
+    With a dict `memo`, each object is encoded once per memo, keyed on
+    its `id()`, and every occurrence shares that one JSON object.  The
+    caller keeps each encoded object alive while the memo is in use, so
+    no id is reused.
+    """
+    if memo is not None:
+        obj = memo.get(id(x))
+        if obj is not None:
+            return obj
     tag_key, tag, fields_ = _ENCODE[type(x)]
     obj = {tag_key: tag}
     for name, key, encode_value in fields_:
         value = getattr(x, name)
-        obj[key] = value if encode_value is None else encode_value(value)
+        obj[key] = value if encode_value is None else encode_value(value, memo)
+    if memo is not None:
+        memo[id(x)] = obj
     return obj
 
 
@@ -117,16 +130,20 @@ def _field(hint):
     if hint is str:
         return None, str.__str__  # rejects anything but a string
     if hint is Var:
-        return attrgetter("name"), lambda name: Var(str.__str__(name))
+        return _var_name, lambda name: Var(str.__str__(name))
     if get_origin(hint) is tuple:
         return _encode_items, _decode_items
     return encode, _DECODERS["node"]
 
 
-def _encode_items(items: tuple) -> list:
+def _var_name(var: Var, memo) -> str:
+    return var.name
+
+
+def _encode_items(items: tuple, memo) -> list:
     return [
-        _encode_items(v) if type(v) is tuple
-        else encode(v) if type(v) in _ENCODE
+        _encode_items(v, memo) if type(v) is tuple
+        else encode(v, memo) if type(v) in _ENCODE
         else v
         for v in items
     ]
@@ -204,10 +221,11 @@ def _unpack(obj, keys, what):
 # ---------------------------------------------------------------------------
 # Configurations and traces
 
-def config_to_obj(config: Configuration) -> dict:
+def config_to_obj(config: Configuration, memo=None) -> dict:
+    """The JSON object of `config`; `memo` is passed on to `encode`."""
     return {
         "mode": config.mode.value,
-        "control": [encode(f) for f in config.control],
+        "control": [encode(f, memo) for f in config.control],
         "env": {name: value for name, value in config.env},
         "status": {name: st for name, st in config.status},
         "files": {
@@ -239,19 +257,31 @@ def config_from_obj(obj) -> Configuration:
 
 
 def trace_to_obj(trace: Trace) -> dict:
-    return {
-        "start": config_to_obj(trace.start),
-        "steps": [
-            {
-                "rule": rule_instance.rule,
-                "choice": encode(rule_instance.choice),
-                "control_summary": summarize_control(config.control),
-                "config": config_to_obj(config),
-            }
-            for rule_instance, config in trace.steps
-        ],
-        "outcome": trace.outcome,
-    }
+    """The JSON object of `trace`.
+
+    Consecutive configurations share most of their frames and syntax
+    subtrees, so each frame, node and choice is encoded, and each frame
+    formatted, once per call: the trace keeps them all alive meanwhile.
+    The result is a DAG whose repeats are one shared dict.
+    """
+    memo, texts = {}, {}
+    try:
+        return {
+            "start": config_to_obj(trace.start, memo),
+            "steps": [
+                {
+                    "rule": rule_instance.rule,
+                    "choice": encode(rule_instance.choice, memo),
+                    "control_summary": summarize_control(config.control, texts=texts),
+                    "config": config_to_obj(config, memo),
+                }
+                for rule_instance, config in trace.steps
+            ],
+            "outcome": trace.outcome,
+        }
+    finally:
+        memo.clear()
+        texts.clear()
 
 
 def trace_from_obj(obj) -> Trace:
@@ -306,8 +336,21 @@ def format_frame(frame) -> str:
     raise TypeError(f"not a frame: {frame!r}")
 
 
-def summarize_control(control, limit: int = 3) -> str:
-    parts = [format_frame(f) for f in control[:limit]]
+def summarize_control(control, limit: int = 3, texts=None) -> str:
+    """The first `limit` frames of `control`, formatted.
+
+    With a dict `texts`, each frame is formatted once per dict, keyed on
+    its `id()`; the caller keeps the frames alive meanwhile.
+    """
+    if texts is None:
+        parts = [format_frame(f) for f in control[:limit]]
+    else:
+        parts = []
+        for f in control[:limit]:
+            text = texts.get(id(f))
+            if text is None:
+                text = texts[id(f)] = format_frame(f)
+            parts.append(text)
     if len(control) > limit:
         parts.append("…")
     return " :: ".join(parts)
@@ -388,6 +431,110 @@ class Report:
             lines.extend(step_lines)
         lines.append(f"wall time: {self.wall_time_ms:.1f} ms")
         return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Writing reports
+#
+# `json.dump(..., indent=2)` runs the pure-Python encoder, and a witness
+# repeats the same frames and syntax subtrees in thousands of steps.  This
+# writer prints the same bytes, with `json`'s own scalar encoders, but
+# builds the text of a tagged object (a node, frame or choice) once per
+# indent depth from the second time it meets that object.
+
+def write_json(obj, handle) -> None:
+    """Write `obj` and a newline, exactly as `json.dump(obj, handle, indent=2)`.
+
+    `obj` is made of dicts with string keys, lists, tuples, strings,
+    numbers, booleans and None.  The text goes out in chunks of a few hundred
+    pieces, never as one string.
+    """
+    out = []
+    _write_value(obj, 0, out, handle, {})
+    out.append("\n")
+    handle.write("".join(out))
+
+
+_CHUNK = 500  # pieces buffered before a write
+
+
+def _write_value(value, depth, out, handle, memo):
+    """Append the text of `value` at indent `depth` to `out`.
+
+    `memo` maps the (id, depth) of a tagged object to "" once it has been
+    met and to its text once it has been met again.  `handle` is None
+    while a text for `memo` is being built: `out` is then that text's
+    pieces, so it is not flushed, and nothing inside it is memoized, so
+    the memo holds no text twice over.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        for first in value:
+            break
+        if first in _TAGS:
+            key = (id(value), depth)
+            text = memo.get(key)
+            if text:
+                out.append(text)
+                return
+            if handle is not None:
+                if text is None:
+                    memo[key] = ""
+                else:
+                    pieces = []
+                    _write_items(value, depth, pieces, None, memo)
+                    memo[key] = text = "".join(pieces)
+                    out.append(text)
+                    return
+        _write_items(value, depth, out, handle, memo)
+    elif kind is list or kind is tuple:
+        if value:
+            _write_items(value, depth, out, handle, memo)
+        else:
+            out.append("[]")
+    else:
+        out.append(_scalar_text(value))
+
+
+def _write_items(value, depth, out, handle, memo):
+    """Append a non-empty dict or list, one item per line."""
+    pad = "\n" + "  " * depth
+    comma = "," + pad + "  "
+    is_dict = type(value) is dict
+    out.append("{" if is_dict else "[")
+    lead = pad + "  "
+    for key, item in value.items() if is_dict else enumerate(value):
+        out.append(lead + encode_basestring_ascii(key) + ": " if is_dict else lead)
+        lead = comma
+        _write_value(item, depth + 1, out, handle, memo)
+        if handle is not None and len(out) >= _CHUNK:
+            handle.write("".join(out))
+            out.clear()
+    out.append(pad + ("}" if is_dict else "]"))
+
+
+def _scalar_text(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_types(hint) -> tuple[type, ...]:

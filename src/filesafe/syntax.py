@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field, fields
-from typing import get_args
+from typing import NamedTuple, get_args
 
 from .errors import ModeError, NestedForkError, ParseError
 
@@ -240,8 +240,7 @@ KEYWORDS = {
 _SYMBOLS = sorted([*_BINOP_PREC, *";,(){}="], key=len, reverse=True)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "kw" | "sym" | "eof"
     text: str
     line: int

@@ -458,15 +458,21 @@ def test_internal_value_errors_are_not_bad_input(tmp_path, capsys):
     # report exceeds Python's int-to-str digit limit.
     source = tmp_path / "square.wf"
     source.write_text("x = 10;\n" + "x = x * x;\n" * 14 + "1 / 0\n")
+    report = tmp_path / "report.json"
+    argv = ["check", str(source), "--mode", "whilef"]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:
-        assert main(["check", str(source), "--mode", "whilef"]) == 70
+        for extra in ([], ["--json", str(report)]):
+            assert main(argv + extra) == 70
+            err = capsys.readouterr().err
+            assert err.startswith("filesafe: internal error: ValueError: ")
+            assert err.count("\n") == 1
     finally:
         sys.set_int_max_str_digits(limit)
-    err = capsys.readouterr().err
-    assert err.startswith("filesafe: internal error: ValueError: ")
-    assert err.count("\n") == 1
+    # The failure comes before the report is opened, so no partial
+    # report is left behind.
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------------------
