@@ -262,7 +262,8 @@ def trace_to_obj(trace: Trace) -> dict:
     Consecutive configurations share most of their frames and syntax
     subtrees, so each frame, node and choice is encoded, and each frame
     formatted, once per call: the trace keeps them all alive meanwhile.
-    The result is a DAG whose repeats are one shared dict.
+    The result is a DAG: the repeats of an object are one shared dict,
+    so editing one edits them all.
     """
     memo, texts = {}, {}
     try:
@@ -339,18 +340,17 @@ def format_frame(frame) -> str:
 def summarize_control(control, limit: int = 3, texts=None) -> str:
     """The first `limit` frames of `control`, formatted.
 
-    With a dict `texts`, each frame is formatted once per dict, keyed on
-    its `id()`; the caller keeps the frames alive meanwhile.
+    `texts` maps the `id()` of each frame formatted so far to its text,
+    so that summaries of controls that share frames format each frame
+    once; the caller keeps those frames alive meanwhile.
     """
-    if texts is None:
-        parts = [format_frame(f) for f in control[:limit]]
-    else:
-        parts = []
-        for f in control[:limit]:
-            text = texts.get(id(f))
-            if text is None:
-                text = texts[id(f)] = format_frame(f)
-            parts.append(text)
+    texts = {} if texts is None else texts
+    parts = []
+    for frame in control[:limit]:
+        text = texts.get(id(frame))
+        if text is None:
+            text = texts[id(frame)] = format_frame(frame)
+        parts.append(text)
     if len(control) > limit:
         parts.append("…")
     return " :: ".join(parts)
@@ -445,8 +445,8 @@ class Report:
 def write_json(obj, handle) -> None:
     """Write `obj` and a newline, exactly as `json.dump(obj, handle, indent=2)`.
 
-    `obj` is made of dicts with string keys, lists, tuples, strings,
-    numbers, booleans and None.  The text goes out in chunks of a few hundred
+    `obj` is made of dicts with string keys, lists, strings, numbers,
+    booleans and None.  The text goes out in chunks of a few hundred
     pieces, never as one string.
     """
     out = []
@@ -467,15 +467,7 @@ def _write_value(value, depth, out, handle, memo):
     pieces, so it is not flushed, and nothing inside it is memoized, so
     the memo holds no text twice over.
     """
-    kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is dict:
-        if not value:
-            out.append("{}")
-            return
+    if type(value) is dict and value:
         for first in value:
             break
         if first in _TAGS:
@@ -494,11 +486,8 @@ def _write_value(value, depth, out, handle, memo):
                     out.append(text)
                     return
         _write_items(value, depth, out, handle, memo)
-    elif kind is list or kind is tuple:
-        if value:
-            _write_items(value, depth, out, handle, memo)
-        else:
-            out.append("[]")
+    elif type(value) is list and value:
+        _write_items(value, depth, out, handle, memo)
     else:
         out.append(_scalar_text(value))
 
@@ -521,19 +510,24 @@ def _write_items(value, depth, out, handle, memo):
 
 
 def _scalar_text(value) -> str:
+    """The text of `value`, which is not a non-empty dict or list."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
         text = float.__repr__(value)
         return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+    if type(value) is dict:
+        return "{}"
+    if type(value) is list:
+        return "[]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -81,7 +81,6 @@ def json_values(leaves):
     return st.recursive(
         leaves,
         lambda children: st.lists(children, max_size=4)
-        | st.tuples(children, children)
         | st.dictionaries(st.text(max_size=4), children, max_size=4),
         max_leaves=25,
     )
