@@ -442,6 +442,9 @@ class Report:
 # builds the text of a tagged object (a node, frame or choice) once per
 # indent depth from the second time it meets that object.
 
+_CHUNK = 500  # pieces buffered before a write
+
+
 def write_json(obj, handle) -> None:
     """Write `obj` and a newline, exactly as `json.dump(obj, handle, indent=2)`.
 
@@ -453,9 +456,6 @@ def write_json(obj, handle) -> None:
     _write_value(obj, 0, out, handle, {})
     out.append("\n")
     handle.write("".join(out))
-
-
-_CHUNK = 500  # pieces buffered before a write
 
 
 def _write_value(value, depth, out, handle, memo):
