@@ -440,7 +440,8 @@ class Report:
 # repeats the same frames and syntax subtrees in thousands of steps.  This
 # writer prints the same bytes, with `json`'s own scalar encoders, but
 # builds the text of a tagged object (a node, frame or choice) once per
-# indent depth from the second time it meets that object.
+# indent depth, from the second time it meets that object outside another
+# such text, and reuses it.
 
 _CHUNK = 500  # pieces buffered before a write
 
@@ -465,9 +466,14 @@ def _write_value(value, depth, out, handle, memo):
     met and to its text once it has been met again.  `handle` is None
     while a text for `memo` is being built: `out` is then that text's
     pieces, so it is not flushed, and nothing inside it is memoized, so
-    the memo holds no text twice over.
+    the memo holds no text twice over.  One call per nesting level, as
+    in `json`, so that the writer fails at no shallower depth.
     """
-    if type(value) is dict and value:
+    kind = type(value)
+    if (kind is not dict and kind is not list) or not value:
+        out.append(_scalar_text(value))
+        return
+    if kind is dict:
         for first in value:
             break
         if first in _TAGS:
@@ -481,22 +487,13 @@ def _write_value(value, depth, out, handle, memo):
                     memo[key] = ""
                 else:
                     pieces = []
-                    _write_items(value, depth, pieces, None, memo)
+                    _write_value(value, depth, pieces, None, memo)
                     memo[key] = text = "".join(pieces)
                     out.append(text)
                     return
-        _write_items(value, depth, out, handle, memo)
-    elif type(value) is list and value:
-        _write_items(value, depth, out, handle, memo)
-    else:
-        out.append(_scalar_text(value))
-
-
-def _write_items(value, depth, out, handle, memo):
-    """Append a non-empty dict or list, one item per line."""
     pad = "\n" + "  " * depth
     comma = "," + pad + "  "
-    is_dict = type(value) is dict
+    is_dict = kind is dict
     out.append("{" if is_dict else "[")
     lead = pad + "  "
     for key, item in value.items() if is_dict else enumerate(value):
@@ -510,7 +507,7 @@ def _write_items(value, depth, out, handle, memo):
 
 
 def _scalar_text(value) -> str:
-    """The text of `value`, which is not a non-empty dict or list."""
+    """The text of a value that is not a non-empty dict or list."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:

@@ -8,6 +8,7 @@ hold both to the plain encoders they replace.
 import io
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,23 @@ def test_an_int_past_the_digit_limit_raises_as_in_json(default_digit_limit):
     with pytest.raises(ValueError) as got:
         written(value)
     assert str(got.value) == str(expected.value)
+
+
+def test_the_writer_nests_as_deep_as_json():
+    # One call per nesting level, as in json's own encoder, so that a
+    # deep report json.dump could write does not fail here.
+    depth = sys.getrecursionlimit()
+    while True:
+        value = None
+        for i in range(depth):
+            value = {"node": "seq", "first": value} if i % 2 else [value]
+        try:
+            expected = dumped(value)
+            break
+        except RecursionError:
+            depth -= 10
+    assert depth > 500
+    assert written(value) == expected
 
 
 def test_the_writer_streams_in_chunks():
