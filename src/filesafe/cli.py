@@ -6,13 +6,14 @@
 
 `check` exits 0 for safe, 1 for unsafe, 2 for unknown; `run` exits 0 for
 a final run, 1 for stuck, 2 for cutoff.  Usage, parse and spec errors
-exit 64 and internal errors exit 70, each with a one-line diagnostic on
-standard error.
+exit 64, errors writing an output file exit 74 and internal errors exit
+70, each with a one-line diagnostic on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -22,9 +23,21 @@ from .explorer import (
     run_single,
 )
 from .machine import initial_config, load_fs_spec
-from .report import Report, format_step, summarize_control, trace_to_obj, write_json
+from .report import Report, format_step, summarize_control, trace_to_obj
 from .semantics import Bounds, ReadMode
 from .syntax import Mode, parse_program, pretty_print
+
+
+class _OutputError(Exception):
+    """Writing an output file failed: not bad input, so not exit 64."""
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _OutputError(exc) from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -132,8 +145,9 @@ def cmd_check(args) -> int:
         wall_time_ms=round(elapsed_ms, 3),
     )
     if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            write_json(report.to_obj(), handle)
+        # The text is built before the file is opened, so a report that
+        # cannot be encoded leaves no file behind.
+        _write_file(args.json, json.dumps(report.to_obj(), indent=2) + "\n")
         print(f"verdict: {report.verdict}")
     else:
         sys.stdout.write(report.render_text())
@@ -160,8 +174,7 @@ def cmd_relax(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(args.output, text)
     return 0
 
 
@@ -183,6 +196,9 @@ def main(argv=None) -> int:
             UnicodeDecodeError) as exc:
         print(f"filesafe: {exc}", file=sys.stderr)
         return 64
+    except _OutputError as exc:
+        print(f"filesafe: {exc}", file=sys.stderr)
+        return 74  # EX_IOERR
     except Exception as exc:
         # Last resort, so that no failure exits 1 and reads as "unsafe".
         print(f"filesafe: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

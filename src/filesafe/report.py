@@ -1,16 +1,19 @@
 """Check reports and their JSON form.
 
 The JSON report is lossless: it carries full configurations (control
-frames as structured nodes, environment, statuses, file store), so an
-Unsafe witness can be deserialized and replayed through the step
-relation.  Text rendering summarizes the control to its first three
-frames to keep traces readable.
+frames, environment, statuses, file store), so an Unsafe witness can be
+deserialized and replayed through the step relation.  Each distinct
+syntax node, control frame and rule choice of a witness is stored once,
+as a row of its node table, and everything else refers to it by row
+index.  Text rendering summarizes the control to its first three frames
+to keep traces readable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from json.encoder import encode_basestring_ascii
+from functools import partial
+from itertools import cycle
 from operator import index
 from typing import get_args, get_origin, get_type_hints
 
@@ -26,18 +29,22 @@ from .syntax import (
 )
 from .explorer import Trace
 
-SCHEMA = "filesafe-report/1"
+SCHEMA = "filesafe-report/2"
 _VERDICTS = ("safe", "unsafe", "unknown")
 
 
 # ---------------------------------------------------------------------------
-# Nodes, frames and choices
+# Node tables
 #
-# Syntax nodes, control frames and rule choices share one encoding: an
-# object whose first key is the tag, then one key per dataclass field in
-# declaration order, with tuples written as lists.  Two exceptions keep
-# the schema's names: `then_body`/`else_body` are written `then`/`else`,
-# and a `Var` field (the assignment target) is written as the bare name.
+# Syntax nodes, control frames and rule choices share one encoding: a row
+# of a node table.  A row is an object whose first key is the tag, then
+# one key per dataclass field in declaration order, with tuples written
+# as lists.  A field that holds a node holds the index of an earlier row
+# instead; the field's declared type, not the JSON value, says which ints
+# are references.  Two exceptions keep the schema's names:
+# `then_body`/`else_body` are written `then`/`else`, and a `Var` field
+# (the assignment target) is written as the bare name.  No two kinds
+# share a tag.
 
 _TAGS = {
     "node": {
@@ -60,122 +67,142 @@ _TAGS = {
 _RENAMED = {"then_body": "then", "else_body": "else"}
 
 
-def encode(x, memo=None) -> dict:
-    """The JSON object of a syntax node, control frame or rule choice.
+class _Table:
+    """The rows of distinct nodes, frames and choices, in order of first occurrence.
 
-    With a dict `memo`, each object is encoded once per memo, keyed on
-    its `id()`, and every occurrence shares that one JSON object.  The
-    caller keeps each encoded object alive while the memo is in use, so
-    no id is reused.
+    A child's row comes before its parent's.  An object added again is
+    found by its `id()`, and an equal object by its row, whose children
+    are indices, so no lookup recurses.  The caller keeps each added
+    object alive while the table is in use, so no id is reused.
     """
-    if memo is not None:
-        obj = memo.get(id(x))
-        if obj is not None:
-            return obj
-    tag_key, tag, fields_ = _ENCODE[type(x)]
-    obj = {tag_key: tag}
-    for name, key, encode_value in fields_:
-        value = getattr(x, name)
-        obj[key] = value if encode_value is None else encode_value(value, memo)
-    if memo is not None:
-        memo[id(x)] = obj
-    return obj
+
+    def __init__(self):
+        self.rows = []
+        self._by_row = {}
+        self._by_id = {}
+
+    def add(self, x) -> int:
+        """The index of the row of `x`, added after its children's if new."""
+        i = self._by_id.get(id(x))
+        if i is None:
+            tag_key, tag, fields_ = _ENCODE[type(x)]
+            row = {tag_key: tag}
+            for name, key, encode_value in fields_:
+                row[key] = encode_value(self, getattr(x, name))
+            i = self._by_row.setdefault(tuple(map(_hashable, row.values())), len(self.rows))
+            if i == len(self.rows):
+                self.rows.append(row)
+            self._by_id[id(x)] = i
+        return i
 
 
-def decode(tag_key: str, obj):
-    """Inverse of `encode` for an object tagged under `tag_key`.
+def _hashable(value):
+    """`value` with each list in it made a tuple, as a dict key."""
+    return tuple(map(_hashable, value)) if type(value) is list else value
 
-    Raises SpecError for anything `encode` cannot have written: a
-    non-object where an object belongs, an unknown tag, a missing or
-    extra key, or a value of the wrong JSON type.
+
+def encode(x) -> list:
+    """The node table of a syntax node, control frame or rule choice; `x`'s row is last."""
+    table = _Table()
+    table.add(x)
+    return table.rows
+
+
+def decode(rows) -> list:
+    """The objects of the node table `rows`, one per row.
+
+    Rows are read once, in order, and each reference must be the index
+    of an earlier row of the kind its field holds, so equal rows decode
+    to one shared object.  Raises SpecError for anything `encode` cannot
+    have written: a non-object row, an unknown tag, a missing or extra
+    key, a value of the wrong JSON type, or a bad reference.
     """
-    return _DECODERS[tag_key](obj)
+    objects = []
+    for row in _check(rows, list, "nodes"):
+        obj = None
+        if type(row) is dict and row:
+            try:
+                build, keys = _DECODE[next(iter(row.items()))]
+                if len(row) == len(keys) + 1:
+                    obj = build(row, objects)
+            except (KeyError, TypeError):  # a missing key or a value of the wrong type
+                pass
+        if obj is None:
+            raise SpecError(_diagnose(row))
+        objects.append(obj)
+    return objects
 
 
-def _decoder(tag_key: str, table: dict):
-    """The decode function for objects tagged under `tag_key`.
-
-    `table` maps each tag to the function that builds the object's
-    class and the object's size.
-    """
-    def decode_tagged(obj):
-        try:
-            build, size = table[obj[tag_key]]
-            if len(obj) == size:
-                return build(obj)
-        except (KeyError, TypeError):
-            pass
-        raise SpecError(_diagnose(tag_key, obj))
-
-    return decode_tagged
+def _diagnose(row) -> str:
+    """Why `row` is not a row that `encode` could have written."""
+    if type(row) is not dict or not row:
+        return f"expected a node table row, got {row!r:.80}"
+    tag_key, tag = next(iter(row.items()))
+    entry = _DECODE.get((tag_key, tag)) if type(tag) is str else None
+    if entry is None:
+        return f"unknown {tag_key:.40} {tag!r:.80}"
+    keys = [tag_key, *entry[1]]
+    if sorted(row) != sorted(keys):
+        return f"{tag_key} {tag!r} needs keys {keys}, got {list(row)}"
+    return f"{tag_key} {tag!r} has a value of the wrong type: {row!r:.80}"
 
 
-def _diagnose(tag_key: str, obj) -> str:
-    """Why `obj` is not an object that `encode` could have tagged `tag_key`."""
-    if type(obj) is not dict:
-        return f"expected a {tag_key} object, got {obj!r:.80}"
-    tag = obj.get(tag_key)
-    if type(tag) is not str or tag not in _DECODE[tag_key]:
-        return f"unknown {tag_key} {tag!r:.80}"
-    keys = [tag_key, *_KEYS[tag_key, tag]]
-    if sorted(obj) != sorted(keys):
-        return f"{tag_key} {tag!r} needs keys {keys}, got {list(obj)}"
-    return f"{tag_key} {tag!r} has a value of the wrong type: {obj!r:.80}"
+def _reference(tag_key: str):
+    """The decoder of a reference to an earlier row tagged under `tag_key`."""
+    classes = _TAGS[tag_key]
+
+    def decode_reference(value, objects):
+        if type(value) is int and 0 <= value < len(objects) and type(objects[value]) in classes:
+            return objects[value]
+        raise SpecError(f"expected the index of an earlier {tag_key} row, got {value!r:.80}")
+
+    return decode_reference
+
+
+_REFERENCE = {tag_key: _reference(tag_key) for tag_key in _TAGS}
 
 
 def _field(hint):
-    """(encoder, decoder) of a field of type `hint`; a None encoder copies the value."""
-    if hint is int:
-        return None, index
-    if hint is str:
-        return None, str.__str__  # rejects anything but a string
-    if hint is Var:
-        return _var_name, lambda name: Var(str.__str__(name))
-    if get_origin(hint) is tuple:
-        return _encode_items, _decode_items
-    return encode, _DECODERS["node"]
+    """(encoder, decoder) of a field of type `hint`.
 
-
-def _var_name(var: Var, memo) -> str:
-    return var.name
-
-
-def _encode_items(items: tuple, memo) -> list:
-    return [
-        _encode_items(v, memo) if type(v) is tuple
-        else encode(v, memo) if type(v) in _ENCODE
-        else v
-        for v in items
-    ]
-
-
-def _decode_items(value) -> tuple:
-    # Inside a tuple field every object is a node and every list a tuple.
-    return tuple(
-        _decode_items(v) if type(v) is list
-        else _DECODERS["node"](v) if type(v) is dict
-        else v
-        for v in _check(value, list, "tuple field")
-    )
-
-
-def _builder(cls, keys, decoders):
-    """A function that builds `cls` from the decoded values of `keys`.
-
-    Spelled out for up to three fields, the most any class has, so that
-    decoding a node costs one call beyond decoding its fields.  A class
-    with more fields fails here, at import.
+    An encoder takes the table and the field's value; a decoder takes the
+    JSON value and the objects of the rows decoded so far.
     """
-    if not keys:
-        return lambda obj: cls()
-    if len(keys) == 1:
-        (k0,), (d0,) = keys, decoders
-        return lambda obj: cls(d0(obj[k0]))
-    if len(keys) == 2:
-        (k0, k1), (d0, d1) = keys, decoders
-        return lambda obj: cls(d0(obj[k0]), d1(obj[k1]))
-    (k0, k1, k2), (d0, d1, d2) = keys, decoders
-    return lambda obj: cls(d0(obj[k0]), d1(obj[k1]), d2(obj[k2]))
+    if hint is int:
+        return _copy, lambda value, objects: index(value)
+    if hint is str:
+        return _copy, lambda value, objects: str.__str__(value)  # rejects anything but a string
+    if hint is Var:
+        return (lambda table, var: var.name), (lambda name, objects: Var(str.__str__(name)))
+    if get_origin(hint) is tuple:
+        return _tuple_field(get_args(hint))
+    return _Table.add, _REFERENCE["node"]
+
+
+def _copy(table, value):
+    return value
+
+
+def _tuple_field(args):
+    """(encoder, decoder) of a `tuple[X, ...]` or `tuple[X, Y]` field, items as `_field`'s."""
+    variadic = args[-1] is Ellipsis
+    codecs = [_field(arg) for arg in (args[:1] if variadic else args)]
+
+    def encode_items(table, items):
+        return [enc(table, item) for (enc, _), item in zip(cycle(codecs), items)]
+
+    def decode_items(value, objects):
+        items = _check(value, list, "tuple field")
+        if not variadic and len(items) != len(codecs):
+            raise SpecError(f"expected {len(codecs)} items, got {items!r:.80}")
+        return tuple(dec(item, objects) for (_, dec), item in zip(cycle(codecs), items))
+
+    return encode_items, decode_items
+
+
+def _build(cls, decoders, row, objects):
+    """The `cls` of `row`; `decoders` pairs each key with its field's decoder."""
+    return cls(*[decode_value(row[key], objects) for key, decode_value in decoders])
 
 
 def _fill_tables():
@@ -188,15 +215,12 @@ def _fill_tables():
             _ENCODE[cls] = (tag_key, tag, tuple(
                 (name, key, enc) for name, key, (enc, _) in zip(names, keys, codecs)
             ))
-            decoders = [dec for _, dec in codecs]
-            _DECODE[tag_key][tag] = (_builder(cls, keys, decoders), len(keys) + 1)
-            _KEYS[tag_key, tag] = keys
+            decoders = tuple((key, dec) for key, (_, dec) in zip(keys, codecs))
+            _DECODE[tag_key, tag] = (partial(_build, cls, decoders), keys)
 
 
 _ENCODE: dict = {}
-_DECODE: dict = {tag_key: {} for tag_key in _TAGS}
-_KEYS: dict = {}
-_DECODERS = {tag_key: _decoder(tag_key, table) for tag_key, table in _DECODE.items()}
+_DECODE: dict = {}
 _fill_tables()
 
 
@@ -221,11 +245,10 @@ def _unpack(obj, keys, what):
 # ---------------------------------------------------------------------------
 # Configurations and traces
 
-def config_to_obj(config: Configuration, memo=None) -> dict:
-    """The JSON object of `config`; `memo` is passed on to `encode`."""
+def _config_to_obj(config: Configuration, table: _Table) -> dict:
     return {
         "mode": config.mode.value,
-        "control": [encode(f, memo) for f in config.control],
+        "control": [table.add(f) for f in config.control],
         "env": {name: value for name, value in config.env},
         "status": {name: st for name, st in config.status},
         "files": {
@@ -235,7 +258,7 @@ def config_to_obj(config: Configuration, memo=None) -> dict:
     }
 
 
-def config_from_obj(obj) -> Configuration:
+def _config_from_obj(obj, objects) -> Configuration:
     mode, control, env, status, files = _unpack(
         obj, ("mode", "control", "env", "status", "files"), "configuration",
     )
@@ -247,8 +270,9 @@ def config_from_obj(obj) -> Configuration:
     for name, entry in sorted(_check(files, dict, "files").items()):
         contents, cursor = _unpack(entry, ("contents", "cursor"), f"file {name!r}")
         entries.append((name, tuple(_check(contents, list, "contents")), cursor))
+    frame = _REFERENCE["frame"]
     return make_configuration(
-        control=map(_DECODERS["frame"], _check(control, list, "control")),
+        control=[frame(ref, objects) for ref in _check(control, list, "control")],
         env=_check(env, dict, "env"),
         status=_check(status, dict, "status"),
         store=FileStore(tuple(entries)),
@@ -257,32 +281,22 @@ def config_from_obj(obj) -> Configuration:
 
 
 def trace_to_obj(trace: Trace) -> dict:
-    """The JSON object of `trace`.
+    """The JSON object of `trace`: its node table, then configurations that refer to it.
 
     Consecutive configurations share most of their frames and syntax
-    subtrees, so each frame, node and choice is encoded, and each frame
-    formatted, once per call: the trace keeps them all alive meanwhile.
-    The result is a DAG: the repeats of an object are one shared dict,
-    so editing one edits them all.
+    subtrees, and each is one row of the table.
     """
-    memo, texts = {}, {}
-    try:
-        return {
-            "start": config_to_obj(trace.start, memo),
-            "steps": [
-                {
-                    "rule": rule_instance.rule,
-                    "choice": encode(rule_instance.choice, memo),
-                    "control_summary": summarize_control(config.control, texts=texts),
-                    "config": config_to_obj(config, memo),
-                }
-                for rule_instance, config in trace.steps
-            ],
-            "outcome": trace.outcome,
+    table = _Table()
+    start = _config_to_obj(trace.start, table)
+    steps = [
+        {
+            "rule": rule_instance.rule,
+            "choice": table.add(rule_instance.choice),
+            "config": _config_to_obj(config, table),
         }
-    finally:
-        memo.clear()
-        texts.clear()
+        for rule_instance, config in trace.steps
+    ]
+    return {"nodes": table.rows, "start": start, "steps": steps, "outcome": trace.outcome}
 
 
 def trace_from_obj(obj) -> Trace:
@@ -296,17 +310,20 @@ def _trace_parts(obj):
     Steps decode one at a time, so a caller that formats and drops them
     never holds the whole decoded trace.
     """
-    start, steps, outcome = _unpack(obj, ("start", "steps", "outcome"), "trace")
-    return config_from_obj(start), map(_step_from_obj, _check(steps, list, "steps")), outcome
-
-
-def _step_from_obj(entry):
-    rule, choice, _, config = _unpack(
-        entry, ("rule", "choice", "control_summary", "config"), "trace step",
-    )
+    nodes, start, steps, outcome = _unpack(obj, ("nodes", "start", "steps", "outcome"), "trace")
+    objects = decode(nodes)
     return (
-        RuleInstance(rule, _DECODERS["choice"](choice)),
-        config_from_obj(config),
+        _config_from_obj(start, objects),
+        (_step_from_obj(entry, objects) for entry in _check(steps, list, "steps")),
+        outcome,
+    )
+
+
+def _step_from_obj(entry, objects):
+    rule, choice, config = _unpack(entry, ("rule", "choice", "config"), "trace step")
+    return (
+        RuleInstance(rule, _REFERENCE["choice"](choice, objects)),
+        _config_from_obj(config, objects),
     )
 
 
@@ -340,17 +357,17 @@ def format_frame(frame) -> str:
 def summarize_control(control, limit: int = 3, texts=None) -> str:
     """The first `limit` frames of `control`, formatted.
 
-    `texts` maps the `id()` of each frame formatted so far to its text,
-    so that summaries of controls that share frames format each frame
-    once; the caller keeps those frames alive meanwhile.
+    `texts` maps the `id()` of each frame formatted so far to the frame
+    and its text, so that summaries of controls that share frames format
+    each frame once.  Holding the frame keeps its id from being reused.
     """
     texts = {} if texts is None else texts
     parts = []
     for frame in control[:limit]:
-        text = texts.get(id(frame))
-        if text is None:
-            text = texts[id(frame)] = format_frame(frame)
-        parts.append(text)
+        entry = texts.get(id(frame))
+        if entry is None:
+            entry = texts[id(frame)] = (frame, format_frame(frame))
+        parts.append(entry[1])
     if len(control) > limit:
         parts.append("…")
     return " :: ".join(parts)
@@ -368,12 +385,13 @@ def format_choice(choice) -> str:
     raise TypeError(f"not a choice: {choice!r}")
 
 
-def format_step(rule_instance: RuleInstance, config: Configuration) -> str:
+def format_step(rule_instance: RuleInstance, config: Configuration, texts=None) -> str:
+    """One line for a step; `texts` is passed on to `summarize_control`."""
     env_text = ", ".join(f"{n}={v}" for n, v in config.env)
     status_text = ", ".join(f"{n}={s}" for n, s in config.status)
     return (
         f"{rule_instance.rule} [{format_choice(rule_instance.choice)}] "
-        f"=> {summarize_control(config.control)} "
+        f"=> {summarize_control(config.control, texts=texts)} "
         f"| env={{{env_text}}} | files={{{status_text}}}"
     )
 
@@ -424,108 +442,15 @@ class Report:
             f"{k}={v}" for k, v in self.flags.items()
         ))
         if self.witness is not None:
+            # Decoded steps share equal frames, so one memo formats each once.
             start, steps, _ = _trace_parts(self.witness)
-            step_lines = ["  " + format_step(*step) for step in steps]
+            texts = {}
+            step_lines = ["  " + format_step(*step, texts=texts) for step in steps]
             lines.append(f"witness ({len(step_lines)} steps):")
-            lines.append(f"  start: {summarize_control(start.control)}")
+            lines.append(f"  start: {summarize_control(start.control, texts=texts)}")
             lines.extend(step_lines)
         lines.append(f"wall time: {self.wall_time_ms:.1f} ms")
         return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Writing reports
-#
-# `json.dump(..., indent=2)` runs the pure-Python encoder, and a witness
-# repeats the same frames and syntax subtrees in thousands of steps.  This
-# writer prints the same bytes, with `json`'s own scalar encoders, but
-# builds the text of a tagged object (a node, frame or choice) once per
-# indent depth, from the second time it meets that object outside another
-# such text, and reuses it.
-
-_CHUNK = 500  # pieces buffered before a write
-
-
-def write_json(obj, handle) -> None:
-    """Write `obj` and a newline, exactly as `json.dump(obj, handle, indent=2)`.
-
-    `obj` is made of dicts with string keys, lists, strings, numbers,
-    booleans and None.  The text goes out in chunks of a few hundred
-    pieces, never as one string.
-    """
-    out = []
-    _write_value(obj, 0, out, handle, {})
-    out.append("\n")
-    handle.write("".join(out))
-
-
-def _write_value(value, depth, out, handle, memo):
-    """Append the text of `value` at indent `depth` to `out`.
-
-    `memo` maps the (id, depth) of a tagged object to "" once it has been
-    met and to its text once it has been met again.  `handle` is None
-    while a text for `memo` is being built: `out` is then that text's
-    pieces, so it is not flushed, and nothing inside it is memoized, so
-    the memo holds no text twice over.  One call per nesting level, as
-    in `json`, so that the writer fails at no shallower depth.
-    """
-    kind = type(value)
-    if (kind is not dict and kind is not list) or not value:
-        out.append(_scalar_text(value))
-        return
-    if kind is dict:
-        for first in value:
-            break
-        if first in _TAGS:
-            key = (id(value), depth)
-            text = memo.get(key)
-            if text:
-                out.append(text)
-                return
-            if handle is not None:
-                if text is None:
-                    memo[key] = ""
-                else:
-                    pieces = []
-                    _write_value(value, depth, pieces, None, memo)
-                    memo[key] = text = "".join(pieces)
-                    out.append(text)
-                    return
-    pad = "\n" + "  " * depth
-    comma = "," + pad + "  "
-    is_dict = kind is dict
-    out.append("{" if is_dict else "[")
-    lead = pad + "  "
-    for key, item in value.items() if is_dict else enumerate(value):
-        out.append(lead + encode_basestring_ascii(key) + ": " if is_dict else lead)
-        lead = comma
-        _write_value(item, depth + 1, out, handle, memo)
-        if handle is not None and len(out) >= _CHUNK:
-            handle.write("".join(out))
-            out.clear()
-    out.append(pad + ("}" if is_dict else "]"))
-
-
-def _scalar_text(value) -> str:
-    """The text of a value that is not a non-empty dict or list."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-    if type(value) is dict:
-        return "{}"
-    if type(value) is list:
-        return "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_types(hint) -> tuple[type, ...]:

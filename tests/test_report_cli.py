@@ -1,5 +1,7 @@
 """Report serialization and command line behavior."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from filesafe import (
     RuleInstance,
     SCHEMA,
     SpecError,
+    Trace,
     UNIQUE,
     Unsafe,
     embed_trace,
@@ -31,8 +34,6 @@ from filesafe import (
 from filesafe.cli import main
 from filesafe.machine import HoleOpLeft, HoleOpRight, is_final
 from filesafe.report import (
-    config_from_obj,
-    config_to_obj,
     decode,
     encode,
     format_choice,
@@ -55,12 +56,12 @@ B = Bounds(forkfor_max=2)
 def test_every_corpus_body_round_trips():
     for case in CORPUS:
         body = case.program().body
-        assert decode("node", encode(body)) == body, case.name
+        assert decode(encode(body))[-1] == body, case.name
 
 
 def test_choice_round_trips():
     for choice in (UNIQUE, Interleave(((0, 0), (1, 0))), ForkCount(2), OraclePos(3)):
-        assert decode("choice", json.loads(json.dumps(encode(choice)))) == choice
+        assert decode(json.loads(json.dumps(encode(choice))))[-1] == choice
 
 
 def test_configs_along_traces_round_trip():
@@ -69,7 +70,7 @@ def test_configs_along_traces_round_trip():
         case = corpus_case(name)
         trace = run_single(case.config(), case.bounds(), seed=5, read_mode=case.read_mode)
         for config in (trace.start, *(c for _, c in trace.steps)):
-            assert config_from_obj(config_to_obj(config)) == config
+            assert trace_from_obj(trace_to_obj(Trace(config, ()))).start == config
 
 
 def test_traces_round_trip_and_still_validate():
@@ -102,18 +103,27 @@ def test_report_round_trips():
 def test_unsupported_schema_is_rejected():
     with pytest.raises(SpecError, match="schema"):
         Report.from_obj({"schema": "filesafe-report/999"})
-
-
-def _open_twice_config():
-    return config_to_obj(corpus_case("open_twice").config())
-
-
-def _binop(**keys):
-    return {"node": "binop", "op": "+", **keys}
+    with pytest.raises(SpecError, match="unsupported report schema 'filesafe-report/1'"):
+        Report.from_obj({"schema": "filesafe-report/1"})
 
 
 def _trace(**keys):
-    return {"start": _open_twice_config(), "steps": [], "outcome": "stuck", **keys}
+    """The trace object of open_twice's start, with `keys` replaced."""
+    trace = trace_to_obj(Trace(corpus_case("open_twice").config(), (), "stuck"))
+    return {**trace, **keys}
+
+
+def _start(**keys):
+    """_trace() with `keys` replaced in its start configuration."""
+    return _trace(start={**_trace()["start"], **keys})
+
+
+INT = {"node": "int", "n": 1}
+
+
+def _binop(**keys):
+    """A node table of 1 and a `1 + 1` with `keys` replaced."""
+    return [INT, {"node": "binop", "op": "+", "left": 0, "right": 0, **keys}]
 
 
 def _report(**keys):
@@ -126,34 +136,51 @@ def _report(**keys):
     # A report with every field but the schema missing.
     lambda: Report.from_obj({"schema": SCHEMA}),
     # A binop without its left operand.
-    lambda: decode("node", _binop(right={"node": "int", "n": 1})),
-    # A list where a frame object belongs.
-    lambda: config_from_obj({**_open_twice_config(), "control": [["unit"]]}),
+    lambda: decode([INT, {"node": "binop", "op": "+", "right": 0}]),
+    # A list where a frame reference belongs.
+    lambda: trace_from_obj(_start(control=[[0]])),
     # An unknown dialect.
-    lambda: config_from_obj({**_open_twice_config(), "mode": "nope"}),
+    lambda: trace_from_obj(_start(mode="nope")),
     # A node with a key its class does not have.
-    lambda: decode("node", {"node": "int", "n": 1, "extra": 0}),
-    # An unknown tag, and a string where a node belongs.
-    lambda: decode("node", {"node": "goto"}),
-    lambda: decode("node", _binop(left="x", right={"node": "int", "n": 1})),
+    lambda: decode([{"node": "int", "n": 1, "extra": 0}]),
+    # An unknown tag, and a string where a node reference belongs.
+    lambda: decode([{"node": "goto"}]),
+    lambda: decode(_binop(left="x")),
     # A string where an integer belongs.
-    lambda: decode("node", {"node": "int", "n": "5"}),
+    lambda: decode([{"node": "int", "n": "5"}]),
     # Report fields of the wrong JSON type, and a verdict the tool never writes.
     lambda: Report.from_obj(_report(bounds=[])),
     lambda: Report.from_obj(_report(flags=[])),
     lambda: Report.from_obj(_report(wall_time_ms="5")),
     lambda: Report.from_obj(_report(verdict="maybe")),
     # Containers of the wrong JSON type inside a configuration and a trace.
-    lambda: config_from_obj({**_open_twice_config(), "control": {}}),
-    lambda: config_from_obj({**_open_twice_config(), "files": []}),
+    lambda: trace_from_obj(_start(control={})),
+    lambda: trace_from_obj(_start(files=[])),
     lambda: trace_from_obj(_trace(steps={})),
     # A trace step with the right number of keys, all of them wrong.
-    lambda: trace_from_obj(_trace(steps=[{"a": 0, "b": 0, "c": 0, "d": 0}])),
+    lambda: trace_from_obj(_trace(steps=[{"a": 0, "b": 0, "c": 0}])),
+    # References: past the end, to a later row, negative, not an int, to
+    # a row of the wrong kind (a node where a frame belongs).
+    lambda: decode(_binop(left=2)),
+    lambda: decode([{"node": "binop", "op": "+", "left": 1, "right": 1}, INT]),
+    lambda: decode(_binop(left=-1)),
+    lambda: decode(_binop(left=0.0)),
+    lambda: decode(_binop(left=True)),
+    lambda: trace_from_obj(_start(control=[0])),
+    # A row under a tag key no kind has, and a tag of another kind.
+    lambda: decode([{"nope": "int", "n": 1}]),
+    lambda: decode([{"frame": "int", "n": 1}]),
+    # A fork-if arm that is not a pair.
+    lambda: decode([INT, {"node": "stmt", "atom": 0}, {"node": "forkif", "arms": [[0]]}]),
+    # A filesafe-report/1 document.
+    lambda: Report.from_obj({**_report(), "schema": "filesafe-report/1"}),
 ], ids=[
     "report-keys", "missing-key", "list-node", "mode", "extra-key", "tag",
     "scalar-node", "scalar-type", "bounds-list", "flags-list",
     "wall-time-string", "verdict-unknown", "control-object", "files-list",
-    "steps-object", "step-keys",
+    "steps-object", "step-keys", "reference-out-of-range", "forward-reference",
+    "negative-reference", "float-reference", "bool-reference", "frame-reference-kind",
+    "unknown-tag-key", "tag-of-another-kind", "arm-length", "schema-1",
 ])
 def test_malformed_documents_raise_spec_error(load):
     with pytest.raises(SpecError):
@@ -473,6 +500,38 @@ def test_internal_value_errors_are_not_bad_input(tmp_path, capsys):
     # The failure comes before the report is opened, so no partial
     # report is left behind.
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "relax"])
+def test_an_output_file_in_a_missing_directory_exits_74(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    argv = {
+        "check": check_argv("div_zero", "--json", str(out)),
+        "relax": ["relax", str(corpus_case("safe_read").path), str(out)],
+    }[command]
+    assert main(argv) == 74
+    captured = capsys.readouterr()
+    assert captured.err == f"filesafe: [Errno 2] No such file or directory: '{out}'\n"
+    assert captured.out == ""
+
+
+def test_a_failed_report_write_exits_74(tmp_path, monkeypatch, capsys):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    real_open = open
+
+    def fake_open(path, mode="r", **kwargs):
+        return Full() if "w" in mode else real_open(path, mode, **kwargs)
+
+    monkeypatch.setattr("filesafe.cli.open", fake_open, raising=False)
+    assert main(check_argv("div_zero", "--json", str(tmp_path / "report.json"))) == 74
+    captured = capsys.readouterr()
+    assert captured.err == f"filesafe: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+    assert captured.out == ""
+    # Input files still open, so bad input is still 64.
+    assert main(check_argv("div_zero", "--fs", str(tmp_path / "missing.json"))) == 64
 
 
 # ---------------------------------------------------------------------------

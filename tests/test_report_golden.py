@@ -1,20 +1,25 @@
-"""Golden digests of the `filesafe-report/1` bytes.
+"""Golden digests of the `filesafe-report/2` bytes, and of the `/1` bytes they encode.
 
-The digests were recorded from the hand-written codec that the
-table-driven one replaced, so any change to key order, tags or value
-encoding in reports or traces shows up here.  Regenerate them only
-together with a schema version bump.
+The `/1` digests were recorded from the hand-written codec that the
+table-driven one replaced, and `/2` stores the same witnesses with each
+distinct node once.  Each `/2` report and trace is decoded and written
+again as `/1` by a reference encoder here, which must give the `/1`
+bytes, so `/2` loses nothing `/1` held.  Any change to key order, tags,
+row order or value encoding shows up here.  Regenerate the `/2` digests
+only together with a schema version bump.
 """
 
 import hashlib
 import json
 import re
+from dataclasses import fields
 
 import pytest
 
 from filesafe import run_single
 from filesafe.cli import main
-from filesafe.report import _TAGS, trace_to_obj
+from filesafe.report import _TAGS, summarize_control, trace_from_obj, trace_to_obj
+from filesafe.syntax import Assign
 
 from conftest import CORPUS
 from test_report_cli import check_argv
@@ -23,6 +28,66 @@ SEEDS = (0, 1, 2)
 
 # The `check --json` report of each corpus case, wall_time_ms zeroed.
 REPORT_SHA256 = {
+    "skip": "74bc32940b0570241857330c76b045a7b1464b08fa0249080d7335f8c6cc5a76",
+    "final_value": "683c6a2835fc78e0388ebac08849e1eecccc7a67378ff4ba78da3f343276cafb",
+    "arith": "8819fc6c9ad511f893209f9b7743dd7000c59f335890220bbe3a483ae3fd1bdc",
+    "bools": "8819fc6c9ad511f893209f9b7743dd7000c59f335890220bbe3a483ae3fd1bdc",
+    "loop": "b7c42fbeda91b0889f86dbb5cbbab1d7df2a08da32283b21ca0ab4653a623b03",
+    "guard_stuck": "863e14635754395abe1feef3461a71172e1d4c6a987a5b848719de2999af7dbf",
+    "div_zero": "444c56a40fc1fe18b405e8ddb484c18c7022f7f695d81ac01386a1d50558189b",
+    "open_close": "4945b229b58b9c5e775185a6c0b744565c60ff87d465ddf7ed689016a16dad08",
+    "open_twice": "2e366c1d7d334e821eb7ff6a1e37b17a7b471dc68ced0bda5e8a9071e269b6bc",
+    "close_twice": "0ffcf2708f243479a681c7d06ccde29570434e0b5b21ba10eec858db3dfb0b06",
+    "close_unopened": "4ff624f47ef7272093324f0d67f6e16a011f8abe4a7db51bc02661d63db22cbc",
+    "read_closed": "8996e8b6ef0f3fa6cebb0ef18a85c5ebc33f08fc557f800aae0f33aaba0aa5b7",
+    "seq_read": "ab7bbbab70cb66aaf987bb476967cdce24afca7177c832f5185543791bd548bc",
+    "read_eof": "683c6a2835fc78e0388ebac08849e1eecccc7a67378ff4ba78da3f343276cafb",
+    "forkfor_pointer": "802dd8399e13bb6020c7f0bad6c4499561abb8e9408a4bd8a2eea85354b649ff",
+    "fork_race": "294945f52020c76bc7465937466b7a6a166a791f3151cf45f3e11b84814bd04a",
+    "forkif_guarded": "01652840cf285a9a482a4730373f938d94f2a321fc15dd53150f5cbbbf53e106",
+    "oracle_predicate": "afc1a2df28ff5c72d5320bf9e3899f4079ece45e36175cab753bf5bf452f953d",
+    "safe_read": "76bacf0b3f3f5e382808a5387ca358130bd2e326b160d3fdf24cc402f2a3b198",
+    "safe_pos_expr": "efb58728555aaaace113ea63e60817204424a6a7209d5e0e29e51dc97bb57b42",
+    "safe_fork": "d8ebca86a6e0d8be7789d00f68d4d38986e6c855dd4e4351778c684e5b114666",
+    "safe_forkif": "42e5dc3fc1899916d8ca06533acc48ce6f7c675d729333df091b3c86dacb7f97",
+    "safe_read_closed": "6669e8c92eb0b1b58f853b86f97cff50c5d4070ce8614dc5a131a554637792bf",
+    "safe_neg_pos": "b092af2ad7cd69aa97c4e48f1230a8b6ffa02f4f3f912e96f8031c39eb49a0c4",
+    "safe_seq": "ad616c70a31e9464bacbe493665f7923560413dc340719aba3cd0cc28f8579c3",
+}
+
+# json.dumps(trace_to_obj(run_single(..., seed=s)), indent=2) for each
+# seed in SEEDS, joined with newlines.
+TRACE_SHA256 = {
+    "skip": "e4f671ae71eef5c45fbcbf1b91ca78034f2137fb32f0f3bb9d591c3dcf1e4236",
+    "final_value": "ddf75fb83c29f2b2f47fb4bcbd87f6a8bd325ab9c7ec21b0bacad07109cce90e",
+    "arith": "d634bbbb8cd0c3e1b0bff99093f246072f6ad2e299ecc1efc50d1a414eef1466",
+    "bools": "9f26eccfa654ce5216406cb459948dbf33d8c168823d08a9788507e5181498d3",
+    "loop": "9633e2c87d83905da6cce2d6768f1191a3d3cb5b3d9c5af94c35a337b82c8058",
+    "guard_stuck": "2f793e9294f1df07d9abcd64f99ab13b47d9c44c42af71ae29c7cad7ae85c173",
+    "div_zero": "77b046457d4cbb6f3c38aab20696d015b5d0d26c072d492c787428ac220dd0f7",
+    "open_close": "bfc824a2826265bad3853e94b7ed3eea757c892012cfb90f1a059a9033aea55c",
+    "open_twice": "ab00a717ac94252dbb293bc2def8347929a005915c8c11184836c784e3d62121",
+    "close_twice": "f9d10f16aacec659d2e4abc0be6c0ed4d885b5e3a1cbee3513e530d58065fbf7",
+    "close_unopened": "24a078a74d653431d18a3cc2d7a31bafe2aa7c30f6fb0b5d03c31c4d5e8221a2",
+    "read_closed": "2cd0589dd647981961b6b57402b6a5a5a44ab6f96b0e3faccb2f118a0792bcc3",
+    "seq_read": "19066da96da3a56c96037637094576b2dfdf3fe9d618768ed24e70352f7bd29c",
+    "read_eof": "b54c1ed0610493b5162552e70380e21e99adef38c9eb1a0bafaa731aad0994fc",
+    "forkfor_pointer": "9c5ad2f315fbcb7b1ccd893857a99ec1d5fc7867387efa066ee7f0e09e54bfb4",
+    "fork_race": "8fa2c1a2c4ff877a2febe341fc8129d57acd4658dff52c3af4ed5234cdd2b153",
+    "forkif_guarded": "1d01a4d3071aa220fd6d5ef6fbf888a0ebdf9dacca9ac13c31baa92c4128734d",
+    "oracle_predicate": "cccf108f3db7f31e12403fb321eb4efaf2689bdb1afd74faa8a27379bc733c16",
+    "safe_read": "29746e3d73f5c05a073ce7798a9d14d1673d7db31351066043c03c9d4854d8c7",
+    "safe_pos_expr": "df99ffba5dba0c90a85a31b0b08ce570f5bad509150493eb8736fef633d82790",
+    "safe_fork": "eac5a6c499a580a355dd33cd19a4eeb367715be661bf1c1487acbb1958dad8ae",
+    "safe_forkif": "0f444ad0923a10d52814c9dc8aa042065a9b1537f0fd2b9cb1e38ab0d1ad2f8b",
+    "safe_read_closed": "de6643656c91b17e6b4b9fb4ef3c4c9d2359fff0de2bbfb49a86eb0a77402bab",
+    "safe_neg_pos": "1cc75254f24b7f795e8971e0fd7ce26a7ad3f8b0685528929294687da5e52899",
+    "safe_seq": "d1f5f4d368ac6df0463ccdee4faeaa97fa2b01c735dc133e8467e8fcee7bac57",
+}
+
+# The `filesafe-report/1` bytes of the `check --json` report of each
+# corpus case, wall_time_ms zeroed.
+REPORT_V1_SHA256 = {
     "skip": "425ece62fcd311fe42985162259adb75e369f1a6ff0097fcb67b740468051529",
     "final_value": "9da687a8cc69747ef9badf9f0722c786e5e466a59c50b31c0b8440fcc5170d11",
     "arith": "1089740fed3e9fe7b5e9417a5e9dd69b36cb06431e4aa435fb992efa7508ab9d",
@@ -50,9 +115,9 @@ REPORT_SHA256 = {
     "safe_seq": "9bd60479d827a9db62ee8e1657738aef445c1698acace53cfa3fb221245d5c54",
 }
 
-# json.dumps(trace_to_obj(run_single(..., seed=s)), indent=2) for each
-# seed in SEEDS, joined with newlines.
-TRACE_SHA256 = {
+# The `filesafe-report/1` text of json.dumps(trace_to_obj(run_single(...,
+# seed=s)), indent=2) for each seed in SEEDS, joined with newlines.
+TRACE_V1_SHA256 = {
     "skip": "8fece441d3d565d12f53a1ffc8d7d828d96e5d3a75b6b7c2563873a7e87debb7",
     "final_value": "6acdf5cbe2191b9dbacfa517f86b27676a77d4d200912b60327dfcfa5ef2bf36",
     "arith": "b7df40306debbc628948cc16f69114a10aa0b89b5ac4dfaaf0bbee5a4a4b271f",
@@ -119,17 +184,65 @@ def trace_texts(case) -> list[str]:
     ]
 
 
-def tags_in(obj, out):
-    if isinstance(obj, dict):
-        for key in ("node", "frame", "choice"):
-            if isinstance(obj.get(key), str):
-                out.add((key, obj[key]))
-        for value in obj.values():
-            tags_in(value, out)
-    elif isinstance(obj, list):
-        for value in obj:
-            tags_in(value, out)
-    return out
+# ---------------------------------------------------------------------------
+# A reference `filesafe-report/1` encoder: every node, frame and choice
+# written out in full where it occurs, and each step with the summary of
+# its control.
+
+TAGGED = {cls: (key, tag) for key, classes in _TAGS.items() for cls, tag in classes.items()}
+
+
+def v1_value(x):
+    if type(x) is tuple:
+        return [v1_value(v) for v in x]
+    if type(x) not in TAGGED:
+        return x
+    tag_key, tag = TAGGED[type(x)]
+    obj = {tag_key: tag}
+    for f in fields(x):
+        value = getattr(x, f.name)
+        key = {"then_body": "then", "else_body": "else"}.get(f.name, f.name)
+        obj[key] = value.name if type(x) is Assign and key == "target" else v1_value(value)
+    return obj
+
+
+def v1_config(config) -> dict:
+    return {
+        "mode": config.mode.value,
+        "control": [v1_value(frame) for frame in config.control],
+        "env": dict(config.env),
+        "status": dict(config.status),
+        "files": {
+            name: {"contents": list(data), "cursor": cursor}
+            for name, data, cursor in config.store.entries
+        },
+    }
+
+
+def v1_trace(obj) -> dict:
+    """The `/1` trace object of the `/2` trace object `obj`, decoded."""
+    trace = trace_from_obj(obj)
+    return {
+        "start": v1_config(trace.start),
+        "steps": [
+            {
+                "rule": rule_instance.rule,
+                "choice": v1_value(rule_instance.choice),
+                "control_summary": summarize_control(config.control),
+                "config": v1_config(config),
+            }
+            for rule_instance, config in trace.steps
+        ],
+        "outcome": trace.outcome,
+    }
+
+
+def v1_report(text: bytes) -> bytes:
+    obj = json.loads(text)
+    obj["schema"] = "filesafe-report/1"
+    if obj["witness"] is not None:
+        obj["witness"] = v1_trace(obj["witness"])
+    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
 
 @pytest.mark.parametrize("case", CORPUS, ids=lambda c: c.name)
@@ -139,10 +252,18 @@ def test_reports_and_traces_match_their_golden_digests(case, tmp_path, capsys):
     assert sha256(joined) == TRACE_SHA256[case.name]
 
 
+@pytest.mark.parametrize("case", CORPUS, ids=lambda c: c.name)
+def test_decoded_reports_and_traces_match_their_report_1_digests(case, tmp_path, capsys):
+    report = v1_report(report_bytes(case, tmp_path, capsys))
+    assert sha256(report) == REPORT_V1_SHA256[case.name]
+    texts = [json.dumps(v1_trace(json.loads(text)), indent=2) for text in trace_texts(case)]
+    assert sha256("\n".join(texts).encode("utf-8")) == TRACE_V1_SHA256[case.name]
+
+
 def test_golden_traces_cover_every_tag():
     seen = set()
     for case in CORPUS:
         for text in trace_texts(case):
-            tags_in(json.loads(text), seen)
+            seen.update(next(iter(row.items())) for row in json.loads(text)["nodes"])
     assert seen == TAGS
     assert TAGS == {(key, tag) for key, classes in _TAGS.items() for tag in classes.values()}

@@ -1,40 +1,26 @@
-"""The report writer prints what `json.dumps(obj, indent=2)` prints.
+"""Witnesses are written as node tables and read back unchanged.
 
-`trace_to_obj` shares one JSON object among the repeats of a frame, node
-or choice, and `write_json` prints each shared subtree once.  These tests
-hold both to the plain encoders they replace.
+`trace_to_obj` stores each distinct frame, node and choice once, as a
+row whose children are indices of earlier rows, and `check --json`
+writes the report with `json.dumps(obj, indent=2)`.
 """
 
-import io
 import json
 import random
-import sys
+from dataclasses import fields
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filesafe import Mode, ReadMode, Unsafe, explore, initial_config, run_single
+from filesafe import Mode, ReadMode, initial_config, run_single
 from filesafe.cli import main
-from filesafe.report import (
-    Report, config_to_obj, encode, summarize_control, trace_to_obj, write_json,
-)
+from filesafe.report import _RENAMED, _TAGS, decode, trace_from_obj, trace_to_obj
 from filesafe.semantics import Bounds
 
-from conftest import CORPUS
 from generators import random_program, random_store
 
 B = Bounds(forkfor_max=2)
-
-
-def written(obj) -> str:
-    handle = io.StringIO()
-    write_json(obj, handle)
-    return handle.getvalue()
-
-
-def dumped(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+TAGGED = {cls for classes in _TAGS.values() for cls in classes}
 
 
 def random_trace(rng: random.Random, read_mode: ReadMode):
@@ -46,151 +32,54 @@ def random_trace(rng: random.Random, read_mode: ReadMode):
     return run_single(c0, B, seed=rng.randrange(1 << 30), read_mode=read_mode)
 
 
-def report_of(trace) -> dict:
-    return Report(
-        "unsafe", states=None, normal_forms=None, witness=trace_to_obj(trace),
-        exhausted=None, frontier=None, bounds={"forkfor_max": 2},
-        flags={"mode": "whilef", "truthy": False}, wall_time_ms=12.5,
-    ).to_obj()
+def references(json_value, value):
+    """(JSON value, object) for each node, frame or choice a field refers to."""
+    if type(value) is tuple:
+        for item_json, item in zip(json_value, value):
+            yield from references(item_json, item)
+    elif type(value) in TAGGED and type(json_value) is not str:  # not a bare-name target
+        yield json_value, value
 
 
-# ---------------------------------------------------------------------------
-# write_json against json.dumps
+TRACES = st.builds(
+    lambda seed, read_mode: random_trace(random.Random(seed), read_mode),
+    st.integers(0, 2**32 - 1), st.sampled_from(list(ReadMode)),
+)
+
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(list(ReadMode)))
-def test_reports_of_random_traces_print_as_json_dumps(seed, read_mode):
-    obj = report_of(random_trace(random.Random(seed), read_mode))
-    assert written(obj) == dumped(obj)
+@given(TRACES)
+def test_random_traces_round_trip_through_json(trace):
+    assert trace_from_obj(json.loads(json.dumps(trace_to_obj(trace)))) == trace
 
 
-SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(st.characters(codec="utf-8"))
-    | st.sampled_from(["é", " ", "\x00", '"', "\\", "", -1, 0.0, 1e-07, 1e16, 123.456])
-)
-TAGGED = st.recursive(
-    st.fixed_dictionaries({"node": st.just("int"), "n": st.integers()}),
-    lambda children: st.fixed_dictionaries(
-        {"frame": st.just("ctrl"), "item": children, "rest": st.lists(children, max_size=2)},
-    ),
-    max_leaves=4,
-)
+@settings(max_examples=150, deadline=None)
+@given(TRACES)
+def test_every_reference_points_to_an_earlier_row(trace):
+    obj = trace_to_obj(trace)
+    rows = obj["nodes"]
+    objects = decode(rows)
+    reached = set()
+    for i, (row, decoded) in enumerate(zip(rows, objects)):
+        for f in fields(decoded):
+            json_value = row[_RENAMED.get(f.name, f.name)]
+            for ref, value in references(json_value, getattr(decoded, f.name)):
+                assert type(ref) is int and 0 <= ref < i
+                assert objects[ref] is value
+                reached.add(ref)
+    configs = [obj["start"], *(step["config"] for step in obj["steps"])]
+    for ref in [*(step["choice"] for step in obj["steps"]), *(r for c in configs for r in c["control"])]:
+        assert type(ref) is int and 0 <= ref < len(rows)
+        reached.add(ref)
+    # Every row is some parent row's child, or a step's frame or choice.
+    assert reached == set(range(len(rows)))
 
 
-def json_values(leaves):
-    return st.recursive(
-        leaves,
-        lambda children: st.lists(children, max_size=4)
-        | st.dictionaries(st.text(max_size=4), children, max_size=4),
-        max_leaves=25,
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_json_values_with_shared_tagged_objects_print_as_json_dumps(data):
-    # Leaves may be the same tagged dict, so it recurs at several depths,
-    # inside lists and dicts, as the repeats in a witness do.
-    shared = data.draw(st.lists(TAGGED, min_size=1, max_size=3))
-    obj = data.draw(json_values(SCALARS | st.sampled_from(shared)))
-    assert written(obj) == dumped(obj)
-
-
-def test_a_dict_shared_at_two_depths_and_inside_a_list():
-    node = {"node": "binop", "op": "+", "left": {"node": "var", "name": "x"},
-            "right": {"node": "int", "n": -1}}
-    frame = {"frame": "ctrl", "item": node}
-    obj = {"a": node, "b": {"c": [node, frame, node]}, "d": [[frame, node], frame], "e": node}
-    assert written(obj) == dumped(obj)
-
-
-@pytest.mark.parametrize("value", [
-    {"env": {}, "status": {}, "files": {}, "control": []},
-    {"files": {"é \x00\"\\": {"contents": [-3, 0, 7], "cursor": 0}}},
-    ["é", " ", "\x00", '"', "\\", "naïve ☃ \U0001f600", "\t\n\r\x1f"],
-    [0.0, -0.0, 1e-07, 1e16, 123.456, float("inf"), float("-inf"), float("nan")],
-    [True, False, None, -1, -(10**30), 10**4299],
-    [], {}, [[]], [{}], "", 0, None, True, 1.5,
-])
-def test_edge_values_print_as_json_dumps(value, default_digit_limit):
-    assert written(value) == dumped(value)
-
-
-def test_an_int_past_the_digit_limit_raises_as_in_json(default_digit_limit):
-    value = {"env": {"x": 10**4300}}  # 4,301 digits
-    with pytest.raises(ValueError) as expected:
-        json.dumps(value, indent=2)
-    with pytest.raises(ValueError) as got:
-        written(value)
-    assert str(got.value) == str(expected.value)
-
-
-def test_the_writer_nests_as_deep_as_json():
-    # One call per nesting level, as in json's own encoder, so that a
-    # deep report json.dump could write does not fail here.
-    depth = sys.getrecursionlimit()
-    while True:
-        value = None
-        for i in range(depth):
-            value = {"node": "seq", "first": value} if i % 2 else [value]
-        try:
-            expected = dumped(value)
-            break
-        except RecursionError:
-            depth -= 10
-    assert depth > 500
-    assert written(value) == expected
-
-
-def test_the_writer_streams_in_chunks():
-    writes = []
-
-    class Handle:
-        def write(self, text):
-            writes.append(text)
-
-    obj = {"contents": list(range(20_000)), "steps": [{"n": i} for i in range(2_000)]}
-    write_json(obj, Handle())
-    assert "".join(writes) == dumped(obj)
-    assert len(writes) > 20
-    assert max(map(len, writes)) < len(dumped(obj)) // 10
-
-
-# ---------------------------------------------------------------------------
-# trace_to_obj against plain encoding
-
-def plain_trace_obj(trace) -> dict:
-    return {
-        "start": config_to_obj(trace.start),
-        "steps": [
-            {
-                "rule": rule_instance.rule,
-                "choice": encode(rule_instance.choice),
-                "control_summary": summarize_control(config.control),
-                "config": config_to_obj(config),
-            }
-            for rule_instance, config in trace.steps
-        ],
-        "outcome": trace.outcome,
-    }
-
-
-def test_memoized_encoding_equals_plain_encoding_on_random_traces():
-    rng = random.Random(20121206)
-    for i in range(400):
-        trace = random_trace(rng, ReadMode.ORACLE if i % 2 else ReadMode.CURSOR)
-        assert trace_to_obj(trace) == plain_trace_obj(trace)
-
-
-def test_memoized_encoding_equals_plain_encoding_on_corpus_witnesses():
-    witnesses = 0
-    for case in CORPUS:
-        verdict = explore(case.config(), case.bounds(), read_mode=case.read_mode)
-        if isinstance(verdict, Unsafe):
-            witnesses += 1
-            assert trace_to_obj(verdict.witness) == plain_trace_obj(verdict.witness), case.name
-    assert witnesses > 0
+@settings(max_examples=150, deadline=None)
+@given(TRACES)
+def test_no_two_rows_are_equal(trace):
+    rows = [json.dumps(row, sort_keys=True) for row in trace_to_obj(trace)["nodes"]]
+    assert len(set(rows)) == len(rows)
 
 
 def test_long_witness_report_is_json_dumps_of_itself(tmp_path, capsys):
@@ -201,6 +90,8 @@ def test_long_witness_report_is_json_dumps_of_itself(tmp_path, capsys):
     assert main(["check", str(source), "--mode", "whilef", "--json", str(path)]) == 1
     assert capsys.readouterr().out == "verdict: unsafe\n"
     text = path.read_text(encoding="utf-8")
-    assert text == dumped(json.loads(text))
-    assert len(json.loads(text)["witness"]["steps"]) > 600
-
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    witness = json.loads(text)["witness"]
+    assert len(witness["steps"]) > 600
+    # The loop body is stored once, not once per step.
+    assert len(witness["nodes"]) < len(witness["steps"])
