@@ -106,6 +106,9 @@ def explore(
 def _bfs(c0, bounds, visited, cut, read_mode, truthy):
     """Breadth-first search of the configuration graph, deduplicated by key.
 
+    Keys are interned configurations, so a `visited` lookup hashes and
+    compares by identity.
+
     Yields (configuration, is final) for each normal form as it is
     dequeued.  Fills `visited` with configuration -> (parent, rule
     instance) for every admitted state, and counts in `cut`, by bound

@@ -6,9 +6,12 @@ store (immutable contents, one read cursor per file).  The control head
 is the next thing to execute; the frames behind it are either further
 work or holes waiting for a value.
 
-Everything here is immutable.  Environments and status tables are kept
-as name-sorted tuples so that structural equality and hashing are
-canonical for free.
+Everything here is immutable and hash-consed (see `syntax.Interned`):
+frames, file stores and configurations are built once per distinct
+value, so equal configurations are one object, and comparing or hashing
+one costs the same whatever its control holds.  Environments and status
+tables are kept as name-sorted tuples, so each value has one
+representation to intern.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from typing import Iterable, Mapping
 
 from .errors import MissingFileError, SpecError, UnknownFileError
 from .syntax import (
-    Assign, Atom, AtomStmt, BinOp, If, IntLit, Mode, Program, ReadAt, Stmt, Var,
+    Assign, Atom, AtomStmt, BinOp, If, IntLit, Interned, Mode, Program, ReadAt,
+    Stmt, Var,
 )
 
 OPEN = "o"
@@ -30,59 +34,59 @@ CLOSED = "c"
 # ---------------------------------------------------------------------------
 # Frames
 
-@dataclass(frozen=True)
-class Ctrl:
+@dataclass(frozen=True, eq=False)
+class Ctrl(Interned):
     """An atom or statement awaiting execution."""
 
     item: Atom | Stmt
 
 
-@dataclass(frozen=True)
-class HoleOpRight:
+@dataclass(frozen=True, eq=False)
+class HoleOpRight(Interned):
     """`? op right`: the left operand is being evaluated."""
 
     op: str
     right: Atom
 
 
-@dataclass(frozen=True)
-class HoleOpLeft:
+@dataclass(frozen=True, eq=False)
+class HoleOpLeft(Interned):
     """`left op ?`: the right operand is being evaluated."""
 
     left: int
     op: str
 
 
-@dataclass(frozen=True)
-class HoleAssign:
+@dataclass(frozen=True, eq=False)
+class HoleAssign(Interned):
     """`target = ?`: the assigned value is being evaluated."""
 
     target: str
 
 
-@dataclass(frozen=True)
-class HoleIf:
+@dataclass(frozen=True, eq=False)
+class HoleIf(Interned):
     """`if ? then .. else ..`: the guard is being evaluated."""
 
     then_body: Atom | Stmt
     else_body: Atom | Stmt
 
 
-@dataclass(frozen=True)
-class HoleRead:
+@dataclass(frozen=True, eq=False)
+class HoleRead(Interned):
     """`target = read(file, ?)`: the position is being evaluated."""
 
     target: str
     file: str
 
 
-@dataclass(frozen=True)
-class Unit:
+@dataclass(frozen=True, eq=False)
+class Unit(Interned):
     """The completed program, written `()` in traces."""
 
 
-@dataclass(frozen=True)
-class Value:
+@dataclass(frozen=True, eq=False)
+class Value(Interned):
     """A computed integer at the control head."""
 
     n: int
@@ -103,8 +107,8 @@ def ctrl(item: Atom | Stmt) -> Ctrl:
 # ---------------------------------------------------------------------------
 # File store
 
-@dataclass(frozen=True)
-class FileStore:
+@dataclass(frozen=True, eq=False)
+class FileStore(Interned):
     """Immutable file contents plus one read cursor per file."""
 
     entries: tuple[tuple[str, tuple[int, ...], int], ...]  # (name, contents, cursor)
@@ -145,8 +149,8 @@ class FileStore:
 # ---------------------------------------------------------------------------
 # Configurations
 
-@dataclass(frozen=True)
-class Configuration:
+@dataclass(frozen=True, eq=False)
+class Configuration(Interned):
     control: tuple[Frame, ...]
     env: tuple[tuple[str, int], ...]      # sorted by name
     status: tuple[tuple[str, str], ...]   # sorted by name, values "o"/"c"
@@ -235,11 +239,11 @@ def make_configuration(
 ) -> Configuration:
     """Assemble a configuration with canonical field representations."""
     return Configuration(
-        control=normalize_control(control),
-        env=tuple(sorted(dict(env).items())),
-        status=tuple(sorted(dict(status).items())),
-        store=store,
-        mode=mode,
+        normalize_control(control),
+        tuple(sorted(dict(env).items())),
+        tuple(sorted(dict(status).items())),
+        store,
+        mode,
     )
 
 
@@ -286,10 +290,9 @@ def is_final(config: Configuration) -> bool:
 def canonical_key(config: Configuration) -> Configuration:
     """The search key of a configuration: the configuration itself.
 
-    Configurations are frozen dataclasses over canonical fields, so
-    equal keys mean equal configurations and the key hashes in the
-    interpreter.  Search order never depends on the hash, since dicts
-    iterate in insertion order.
+    Configurations are interned, so equal configurations are the same
+    object, and a key compares and hashes by identity.  Search order
+    never depends on the hash, since dicts iterate in insertion order.
     """
     return config
 

@@ -19,18 +19,21 @@ from typing import get_args, get_origin, get_type_hints
 
 from .errors import SpecError
 from .machine import (
-    Configuration, Ctrl, FileStore, HoleAssign, HoleIf, HoleOpLeft,
-    HoleOpRight, HoleRead, Unit, Value, make_configuration,
+    CLOSED, OPEN, Configuration, Ctrl, FileStore, HoleAssign, HoleIf,
+    HoleOpLeft, HoleOpRight, HoleRead, Unit, Value, make_configuration,
 )
 from .semantics import ForkCount, Interleave, OraclePos, RuleInstance, Unique
 from .syntax import (
     And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
     Open, Close, Or, ReadAt, ReadND, Seq, Skip, Var, While, format_node,
 )
-from .explorer import Trace
+from .explorer import OUTCOME_CUTOFF, OUTCOME_FINAL, OUTCOME_STUCK, Trace
 
 SCHEMA = "filesafe-report/2"
 _VERDICTS = ("safe", "unsafe", "unknown")
+_OUTCOMES = (OUTCOME_FINAL, OUTCOME_STUCK, OUTCOME_CUTOFF, None)  # a Trace's outcome
+_STATUSES = (OPEN, CLOSED)
+_MODES = {mode.value: mode for mode in Mode}
 
 
 # ---------------------------------------------------------------------------
@@ -70,35 +73,26 @@ _RENAMED = {"then_body": "then", "else_body": "else"}
 class _Table:
     """The rows of distinct nodes, frames and choices, in order of first occurrence.
 
-    A child's row comes before its parent's.  An object added again is
-    found by its `id()`, and an equal object by its row, whose children
-    are indices, so no lookup recurses.  The caller keeps each added
-    object alive while the table is in use, so no id is reused.
+    A child's row comes before its parent's.  Nodes are interned, so an
+    equal node is the same object, and one dict keyed on the node (by
+    identity) finds its row.
     """
 
     def __init__(self):
         self.rows = []
-        self._by_row = {}
-        self._by_id = {}
+        self._index = {}
 
     def add(self, x) -> int:
         """The index of the row of `x`, added after its children's if new."""
-        i = self._by_id.get(id(x))
+        i = self._index.get(x)
         if i is None:
             tag_key, tag, fields_ = _ENCODE[type(x)]
             row = {tag_key: tag}
             for name, key, encode_value in fields_:
                 row[key] = encode_value(self, getattr(x, name))
-            i = self._by_row.setdefault(tuple(map(_hashable, row.values())), len(self.rows))
-            if i == len(self.rows):
-                self.rows.append(row)
-            self._by_id[id(x)] = i
+            i = self._index[x] = len(self.rows)
+            self.rows.append(row)
         return i
-
-
-def _hashable(value):
-    """`value` with each list in it made a tuple, as a dict key."""
-    return tuple(map(_hashable, value)) if type(value) is list else value
 
 
 def encode(x) -> list:
@@ -242,6 +236,11 @@ def _unpack(obj, keys, what):
     raise SpecError(f"{what} needs keys {list(keys)}, got {list(obj)}")
 
 
+def _ints(values) -> bool:
+    """Whether each of `values` is an int and not a bool."""
+    return {*map(type, values)} <= {int}
+
+
 # ---------------------------------------------------------------------------
 # Configurations and traces
 
@@ -262,21 +261,30 @@ def _config_from_obj(obj, objects) -> Configuration:
     mode, control, env, status, files = _unpack(
         obj, ("mode", "control", "env", "status", "files"), "configuration",
     )
-    try:
-        mode = Mode(mode)
-    except ValueError:
-        raise SpecError(f"unknown mode {mode!r:.80}") from None
+    known = _MODES.get(mode) if type(mode) is str else None
+    if known is None:
+        raise SpecError(f"unknown mode {mode!r:.80}")
     entries = []
     for name, entry in sorted(_check(files, dict, "files").items()):
         contents, cursor = _unpack(entry, ("contents", "cursor"), f"file {name!r}")
-        entries.append((name, tuple(_check(contents, list, "contents")), cursor))
+        if not _ints(_check(contents, list, "contents")):
+            raise SpecError(f"contents of file {name!r} must be integers, got {contents!r:.80}")
+        if type(cursor) is not int or cursor < 0:
+            raise SpecError(
+                f"cursor of file {name!r} must be a non-negative integer, got {cursor!r:.80}"
+            )
+        entries.append((name, tuple(contents), cursor))
+    if not _ints(_check(env, dict, "env").values()):
+        raise SpecError(f"env values must be integers, got {env!r:.80}")
+    if not all(map(_STATUSES.__contains__, _check(status, dict, "status").values())):
+        raise SpecError(f"file statuses must be {OPEN!r} or {CLOSED!r}, got {status!r:.80}")
     frame = _REFERENCE["frame"]
     return make_configuration(
         control=[frame(ref, objects) for ref in _check(control, list, "control")],
-        env=_check(env, dict, "env"),
-        status=_check(status, dict, "status"),
+        env=env,
+        status=status,
         store=FileStore(tuple(entries)),
-        mode=mode,
+        mode=known,
     )
 
 
@@ -311,6 +319,8 @@ def _trace_parts(obj):
     never holds the whole decoded trace.
     """
     nodes, start, steps, outcome = _unpack(obj, ("nodes", "start", "steps", "outcome"), "trace")
+    if outcome not in _OUTCOMES:
+        raise SpecError(f"a trace outcome must be one of {_OUTCOMES}, got {outcome!r:.80}")
     objects = decode(nodes)
     return (
         _config_from_obj(start, objects),
@@ -321,6 +331,8 @@ def _trace_parts(obj):
 
 def _step_from_obj(entry, objects):
     rule, choice, config = _unpack(entry, ("rule", "choice", "config"), "trace step")
+    if type(rule) is not str:
+        raise SpecError(f"a step's rule must be a string, got {rule!r:.80}")
     return (
         RuleInstance(rule, _REFERENCE["choice"](choice, objects)),
         _config_from_obj(config, objects),
@@ -357,17 +369,16 @@ def format_frame(frame) -> str:
 def summarize_control(control, limit: int = 3, texts=None) -> str:
     """The first `limit` frames of `control`, formatted.
 
-    `texts` maps the `id()` of each frame formatted so far to the frame
-    and its text, so that summaries of controls that share frames format
-    each frame once.  Holding the frame keeps its id from being reused.
+    `texts` maps each frame formatted so far to its text, so that
+    summaries of controls that share frames format each frame once.
     """
     texts = {} if texts is None else texts
     parts = []
     for frame in control[:limit]:
-        entry = texts.get(id(frame))
-        if entry is None:
-            entry = texts[id(frame)] = (frame, format_frame(frame))
-        parts.append(entry[1])
+        text = texts.get(frame)
+        if text is None:
+            text = texts[frame] = format_frame(frame)
+        parts.append(text)
     if len(control) > limit:
         parts.append("…")
     return " :: ".join(parts)

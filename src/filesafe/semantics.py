@@ -45,8 +45,8 @@ from .machine import (
     normalize_control, set_status, status_of,
 )
 from .syntax import (
-    And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
-    Open, Close, Or, ReadAt, ReadND, Seq, Skip, Var, While, atoms_of,
+    And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Interned,
+    Mode, Open, Close, Or, ReadAt, ReadND, Seq, Skip, Var, While, atoms_of,
 )
 
 
@@ -81,27 +81,27 @@ class Bounds:
 # ---------------------------------------------------------------------------
 # Choices
 
-@dataclass(frozen=True)
-class Unique:
+@dataclass(frozen=True, eq=False)
+class Unique(Interned):
     """The only possible outcome of a deterministic rule."""
 
 
-@dataclass(frozen=True)
-class Interleave:
+@dataclass(frozen=True, eq=False)
+class Interleave(Interned):
     """A chosen branch interleaving: (branch index, atom index) pairs."""
 
     order: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ForkCount:
+@dataclass(frozen=True, eq=False)
+class ForkCount(Interned):
     """A chosen forkfor repetition count."""
 
     k: int
 
 
-@dataclass(frozen=True)
-class OraclePos:
+@dataclass(frozen=True, eq=False)
+class OraclePos(Interned):
     """A chosen oracle read position."""
 
     n: int
@@ -112,8 +112,8 @@ Choice = Unique | Interleave | ForkCount | OraclePos
 UNIQUE = Unique()
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+@dataclass(frozen=True, eq=False)
+class RuleInstance(Interned):
     rule: str
     choice: Choice = UNIQUE
 
@@ -216,11 +216,11 @@ def step(
         return (
             RuleInstance(rule, choice),
             Configuration(
-                control=normalize_control(control),
-                env=config.env if env is None else env,
-                status=config.status if status is None else status,
-                store=config.store if store is None else store,
-                mode=config.mode,
+                normalize_control(control),
+                config.env if env is None else env,
+                config.status if status is None else status,
+                config.store if store is None else store,
+                config.mode,
             ),
         )
 

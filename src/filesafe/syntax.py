@@ -38,45 +38,89 @@ class Mode(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+#
+# Syntax nodes, and the control frames, file stores, configurations and
+# rule choices built from them, are hash-consed (Filliâtre & Conchon,
+# "Type-safe modular hash-consing", ML 2006): a class call looks its class
+# and field values up in `_INTERNED` and returns the object already built
+# for them, so equal values are one object.  Such classes are
+# `@dataclass(frozen=True, eq=False)`: `==` is identity, and the hash is
+# `object.__hash__`, by address, which is never recomputed and never
+# recurses.  A key holds the node's children, which hash and compare the
+# same way, so looking a node up costs the same whatever its depth.
+#
+# The table holds its nodes for the life of the process, so a search
+# that meets a value again, in the same check or a later one, finds it
+# built.  It must never be cleared: a node built after that would be
+# equal to, but not the same object as, a node still in use.
+
+_INTERNED: dict = {}
+
+
+class _Interning(type):
+    """The metaclass of `Interned`: a class call returns the one object of its fields."""
+
+    def __call__(cls, *args, **kwargs):
+        key = (cls, *args)
+        node = None if kwargs else _INTERNED.get(key)
+        if node is None:
+            node = super().__call__(*args, **kwargs)
+            if kwargs or len(args) != len(cls.__match_args__):
+                # Keywords or defaults: key the node by the fields __init__ bound.
+                key = (cls, *[getattr(node, name) for name in cls.__match_args__])
+            node = _INTERNED.setdefault(key, node)
+        return node
+
+
+class Interned(metaclass=_Interning):
+    """The base of the hash-consed classes."""
+
+    def __reduce__(self):
+        # Copies and unpickled objects are rebuilt by a class call, so they intern too.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# ---------------------------------------------------------------------------
 # Abstract syntax
 
-@dataclass(frozen=True)
-class IntLit:
+@dataclass(frozen=True, eq=False)
+class IntLit(Interned):
     n: int
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(Interned):
     name: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False)
+class BinOp(Interned):
     op: str
     left: "Atom"
     right: "Atom"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(Interned):
     left: "Atom"
     right: "Atom"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(Interned):
     left: "Atom"
     right: "Atom"
 
 
-@dataclass(frozen=True)
-class Assign:
+@dataclass(frozen=True, eq=False)
+class Assign(Interned):
     target: Var
     value: "Atom"
 
 
-@dataclass(frozen=True)
-class If:
+@dataclass(frozen=True, eq=False)
+class If(Interned):
     # Parsed programs carry atoms in both branches.  The machine widens
     # the then-branch to a statement when it unrolls a while loop.
     cond: "Atom"
@@ -84,24 +128,24 @@ class If:
     else_body: "Atom | Stmt"
 
 
-@dataclass(frozen=True)
-class While:
+@dataclass(frozen=True, eq=False)
+class While(Interned):
     cond: "Atom"
     body: "Atom"
 
 
-@dataclass(frozen=True)
-class Open:
+@dataclass(frozen=True, eq=False)
+class Open(Interned):
     file: str
 
 
-@dataclass(frozen=True)
-class Close:
+@dataclass(frozen=True, eq=False)
+class Close(Interned):
     file: str
 
 
-@dataclass(frozen=True)
-class ReadND:
+@dataclass(frozen=True, eq=False)
+class ReadND(Interned):
     """(target, pointer) = read(file) -- whilef dialect."""
 
     target: str
@@ -109,8 +153,8 @@ class ReadND:
     file: str
 
 
-@dataclass(frozen=True)
-class ReadAt:
+@dataclass(frozen=True, eq=False)
+class ReadAt(Interned):
     """target = read(file, pos) -- safe dialect."""
 
     target: str
@@ -118,8 +162,8 @@ class ReadAt:
     pos: "Atom"
 
 
-@dataclass(frozen=True)
-class Skip:
+@dataclass(frozen=True, eq=False)
+class Skip(Interned):
     pass
 
 
@@ -129,29 +173,29 @@ Atom = (
 )
 
 
-@dataclass(frozen=True)
-class AtomStmt:
+@dataclass(frozen=True, eq=False)
+class AtomStmt(Interned):
     atom: Atom
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False)
+class Seq(Interned):
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True)
-class Fork:
+@dataclass(frozen=True, eq=False)
+class Fork(Interned):
     branches: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class ForkFor:
+@dataclass(frozen=True, eq=False)
+class ForkFor(Interned):
     body: "Stmt"
 
 
-@dataclass(frozen=True)
-class ForkIf:
+@dataclass(frozen=True, eq=False)
+class ForkIf(Interned):
     arms: tuple[tuple[Atom, "Stmt"], ...]
 
 

@@ -187,6 +187,37 @@ def test_malformed_documents_raise_spec_error(load):
         load()
 
 
+def _witness_step(**keys):
+    """open_twice's witness, its one step with `keys` replaced."""
+    witness = trace_to_obj(explore(corpus_case("open_twice").config(), B).witness)
+    return {**witness, "steps": [{**witness["steps"][0], **keys}]}
+
+
+def _file(**keys):
+    """_start() with `keys` replaced in its entry for file f."""
+    return _start(files={"f": {"contents": [], "cursor": 0, **keys}})
+
+
+@pytest.mark.parametrize("obj", [
+    _file(contents=["a", None]), _file(contents=[1, True]), _file(contents=[1.5]),
+    _file(cursor="zero"), _file(cursor=-1), _file(cursor=True), _file(cursor=None),
+    _start(env={"x": "1"}), _start(env={"x": True}), _start(env={"x": 1.0}),
+    _start(status={"f": "open"}), _start(status={"f": None}), _start(status={"f": ["o"]}),
+    _witness_step(rule=7), _witness_step(rule=None), _witness_step(rule=["seq"]),
+    _trace(outcome="maybe"), _trace(outcome=1), _trace(outcome=[]),
+], ids=[
+    "contents-strings", "contents-bool", "contents-float",
+    "cursor-string", "cursor-negative", "cursor-bool", "cursor-null",
+    "env-string", "env-bool", "env-float",
+    "status-word", "status-null", "status-list",
+    "rule-int", "rule-null", "rule-list",
+    "outcome-word", "outcome-int", "outcome-list",
+])
+def test_trace_values_of_the_wrong_type_raise_spec_error(obj):
+    with pytest.raises(SpecError):
+        trace_from_obj(obj)
+
+
 # ---------------------------------------------------------------------------
 # Human-readable formatting
 
@@ -460,6 +491,57 @@ def test_nesting_ladder_ends_in_a_verdict_or_64(shape, tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("filesafe: nesting deeper than 100 levels (line 1, column ")
             assert err.count("\n") == 1, (n, argv)
+
+
+# Programs whose configurations hold syntax trees 500 to 900 nodes deep,
+# which hashing or comparing recursively would overflow the stack on.
+LONG = {
+    "skips": ("skip;\n" * 500, 1000),
+    "sum": ("x = " + " + ".join(["1"] * 900) + "\n", 1800),
+}
+
+
+def run_cli(argv):
+    """`python -m filesafe.cli *argv` on this checkout's sources."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "filesafe.cli", *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(LONG))
+def test_long_programs_get_their_verdict(name, tmp_path, capsys):
+    source, states = LONG[name]
+    path, report = tmp_path / "long.wf", tmp_path / "report.json"
+    path.write_text(source)
+    argv = ["check", str(path), "--mode", "whilef"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"verdict: safe\nstates visited: {states}\n")
+    assert main(argv + ["--json", str(report)]) == 0
+    assert capsys.readouterr().out == "verdict: safe\n"
+    assert json.loads(report.read_text())["states"] == states
+    for extra in ([], ["--json", str(report)]):
+        result = run_cli(argv + extra)
+        assert (result.returncode, result.stderr) == (0, ""), extra
+        assert result.stdout.startswith("verdict: safe\n"), extra
+
+
+def test_a_deep_unsafe_program_gets_its_json_report(tmp_path, capsys):
+    # An assignment of an AST 494 nodes deep, then a stuck division.  The
+    # text report formats the witness with the recursive printer, which
+    # this depth can still overflow, so only the JSON report is held here.
+    path, report = tmp_path / "deep.wf", tmp_path / "report.json"
+    path.write_text("x = " + "1 || 1 && 1 == 1 + 1 * (" * 98 + "1" + ")" * 98 + "; 1 / 0\n")
+    argv = ["check", str(path), "--mode", "whilef", "--json", str(report)]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "verdict: unsafe\n"
+    witness = trace_from_obj(json.loads(report.read_text())["witness"])
+    validate_trace(witness, B)
+    result = run_cli(argv)
+    assert (result.returncode, result.stdout, result.stderr) == (1, "verdict: unsafe\n", "")
 
 
 def test_diagnostics_go_to_stderr(capsys):
