@@ -23,7 +23,7 @@ from .explorer import (
     run_single,
 )
 from .machine import initial_config, load_fs_spec
-from .report import Report, format_step, summarize_control, trace_to_obj
+from .report import Report, format_trace, trace_to_obj
 from .semantics import Bounds, ReadMode
 from .syntax import Mode, parse_program, pretty_print
 
@@ -159,9 +159,7 @@ def cmd_run(args) -> int:
     trace = run_single(
         config, bounds, seed=args.seed, read_mode=read_mode, truthy=args.truthy,
     )
-    print(f"start: {summarize_control(trace.start.control)}")
-    for rule_instance, after in trace.steps:
-        print(format_step(rule_instance, after))
+    print(*format_trace(trace), sep="\n")
     print(f"outcome: {trace.outcome} after {len(trace.steps)} steps")
     return {OUTCOME_FINAL: 0, OUTCOME_STUCK: 1}.get(trace.outcome, 2)
 

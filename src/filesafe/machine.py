@@ -6,10 +6,11 @@ store (immutable contents, one read cursor per file).  The control head
 is the next thing to execute; the frames behind it are either further
 work or holes waiting for a value.
 
-Everything here is immutable and hash-consed (see `syntax.Interned`):
-frames, file stores and configurations are built once per distinct
-value, so equal configurations are one object, and comparing or hashing
-one costs the same whatever its control holds.  Environments and status
+Everything here is immutable and hash-consed: frames, file stores and
+configurations subclass `syntax.Interned`, which makes each a frozen
+dataclass with identity equality and builds it once per distinct value.
+So equal configurations are one object, and comparing or hashing one
+costs the same whatever its control holds.  Environments and status
 tables are kept as name-sorted tuples, so each value has one
 representation to intern.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import MissingFileError, SpecError, UnknownFileError
@@ -34,14 +34,12 @@ CLOSED = "c"
 # ---------------------------------------------------------------------------
 # Frames
 
-@dataclass(frozen=True, eq=False)
 class Ctrl(Interned):
     """An atom or statement awaiting execution."""
 
     item: Atom | Stmt
 
 
-@dataclass(frozen=True, eq=False)
 class HoleOpRight(Interned):
     """`? op right`: the left operand is being evaluated."""
 
@@ -49,7 +47,6 @@ class HoleOpRight(Interned):
     right: Atom
 
 
-@dataclass(frozen=True, eq=False)
 class HoleOpLeft(Interned):
     """`left op ?`: the right operand is being evaluated."""
 
@@ -57,14 +54,12 @@ class HoleOpLeft(Interned):
     op: str
 
 
-@dataclass(frozen=True, eq=False)
 class HoleAssign(Interned):
     """`target = ?`: the assigned value is being evaluated."""
 
     target: str
 
 
-@dataclass(frozen=True, eq=False)
 class HoleIf(Interned):
     """`if ? then .. else ..`: the guard is being evaluated."""
 
@@ -72,7 +67,6 @@ class HoleIf(Interned):
     else_body: Atom | Stmt
 
 
-@dataclass(frozen=True, eq=False)
 class HoleRead(Interned):
     """`target = read(file, ?)`: the position is being evaluated."""
 
@@ -80,12 +74,10 @@ class HoleRead(Interned):
     file: str
 
 
-@dataclass(frozen=True, eq=False)
 class Unit(Interned):
     """The completed program, written `()` in traces."""
 
 
-@dataclass(frozen=True, eq=False)
 class Value(Interned):
     """A computed integer at the control head."""
 
@@ -107,7 +99,6 @@ def ctrl(item: Atom | Stmt) -> Ctrl:
 # ---------------------------------------------------------------------------
 # File store
 
-@dataclass(frozen=True, eq=False)
 class FileStore(Interned):
     """Immutable file contents plus one read cursor per file."""
 
@@ -149,7 +140,6 @@ class FileStore(Interned):
 # ---------------------------------------------------------------------------
 # Configurations
 
-@dataclass(frozen=True, eq=False)
 class Configuration(Interned):
     control: tuple[Frame, ...]
     env: tuple[tuple[str, int], ...]      # sorted by name

@@ -11,7 +11,7 @@ to keep traces readable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import cycle
 from operator import index
@@ -203,7 +203,7 @@ def _fill_tables():
     for tag_key, classes in _TAGS.items():
         for cls, tag in classes.items():
             hints = get_type_hints(cls)
-            names = [f.name for f in fields(cls)]
+            names = cls.__match_args__
             keys = tuple(_RENAMED.get(name, name) for name in names)
             codecs = [_field(hints[name]) for name in names]
             _ENCODE[cls] = (tag_key, tag, tuple(
@@ -308,24 +308,14 @@ def trace_to_obj(trace: Trace) -> dict:
 
 
 def trace_from_obj(obj) -> Trace:
-    start, steps, outcome = _trace_parts(obj)
-    return Trace(start=start, steps=tuple(steps), outcome=outcome)
-
-
-def _trace_parts(obj):
-    """The start, a lazy iterator over the steps, and the outcome of a trace.
-
-    Steps decode one at a time, so a caller that formats and drops them
-    never holds the whole decoded trace.
-    """
     nodes, start, steps, outcome = _unpack(obj, ("nodes", "start", "steps", "outcome"), "trace")
     if outcome not in _OUTCOMES:
         raise SpecError(f"a trace outcome must be one of {_OUTCOMES}, got {outcome!r:.80}")
     objects = decode(nodes)
-    return (
-        _config_from_obj(start, objects),
-        (_step_from_obj(entry, objects) for entry in _check(steps, list, "steps")),
-        outcome,
+    return Trace(
+        start=_config_from_obj(start, objects),
+        steps=tuple(_step_from_obj(entry, objects) for entry in _check(steps, list, "steps")),
+        outcome=outcome,
     )
 
 
@@ -366,20 +356,23 @@ def format_frame(frame) -> str:
     raise TypeError(f"not a frame: {frame!r}")
 
 
-def summarize_control(control, limit: int = 3, texts=None) -> str:
-    """The first `limit` frames of `control`, formatted.
+_SUMMARY_FRAMES = 3
+
+
+def summarize_control(control, texts=None) -> str:
+    """The first `_SUMMARY_FRAMES` frames of `control`, formatted.
 
     `texts` maps each frame formatted so far to its text, so that
     summaries of controls that share frames format each frame once.
     """
     texts = {} if texts is None else texts
     parts = []
-    for frame in control[:limit]:
+    for frame in control[:_SUMMARY_FRAMES]:
         text = texts.get(frame)
         if text is None:
             text = texts[frame] = format_frame(frame)
         parts.append(text)
-    if len(control) > limit:
+    if len(control) > _SUMMARY_FRAMES:
         parts.append("…")
     return " :: ".join(parts)
 
@@ -405,6 +398,19 @@ def format_step(rule_instance: RuleInstance, config: Configuration, texts=None) 
         f"=> {summarize_control(config.control, texts=texts)} "
         f"| env={{{env_text}}} | files={{{status_text}}}"
     )
+
+
+def format_trace(trace: Trace) -> list[str]:
+    """A start line, then one line per step of `trace`.
+
+    Consecutive configurations share most of their frames, so one memo
+    formats each distinct frame once.
+    """
+    texts = {}
+    return [
+        f"start: {summarize_control(trace.start.control, texts)}",
+        *(format_step(rule_instance, config, texts) for rule_instance, config in trace.steps),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +459,9 @@ class Report:
             f"{k}={v}" for k, v in self.flags.items()
         ))
         if self.witness is not None:
-            # Decoded steps share equal frames, so one memo formats each once.
-            start, steps, _ = _trace_parts(self.witness)
-            texts = {}
-            step_lines = ["  " + format_step(*step, texts=texts) for step in steps]
-            lines.append(f"witness ({len(step_lines)} steps):")
-            lines.append(f"  start: {summarize_control(start.control, texts=texts)}")
-            lines.extend(step_lines)
+            witness = trace_from_obj(self.witness)
+            lines.append(f"witness ({len(witness.steps)} steps):")
+            lines.extend("  " + line for line in format_trace(witness))
         lines.append(f"wall time: {self.wall_time_ms:.1f} ms")
         return "\n".join(lines) + "\n"
 
@@ -470,5 +472,5 @@ def _json_types(hint) -> tuple[type, ...]:
     return (*types, int) if float in types else types
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(Report))
+_REPORT_FIELDS = Report.__match_args__
 _REPORT_TYPES = tuple(_json_types(hint) for hint in get_type_hints(Report).values())

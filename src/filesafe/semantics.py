@@ -81,26 +81,22 @@ class Bounds:
 # ---------------------------------------------------------------------------
 # Choices
 
-@dataclass(frozen=True, eq=False)
 class Unique(Interned):
     """The only possible outcome of a deterministic rule."""
 
 
-@dataclass(frozen=True, eq=False)
 class Interleave(Interned):
     """A chosen branch interleaving: (branch index, atom index) pairs."""
 
     order: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True, eq=False)
 class ForkCount(Interned):
     """A chosen forkfor repetition count."""
 
     k: int
 
 
-@dataclass(frozen=True, eq=False)
 class OraclePos(Interned):
     """A chosen oracle read position."""
 
@@ -112,7 +108,6 @@ Choice = Unique | Interleave | ForkCount | OraclePos
 UNIQUE = Unique()
 
 
-@dataclass(frozen=True, eq=False)
 class RuleInstance(Interned):
     rule: str
     choice: Choice = UNIQUE

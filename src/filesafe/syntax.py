@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple, get_args
 
 from .errors import ModeError, NestedForkError, ParseError
@@ -44,11 +44,13 @@ class Mode(enum.Enum):
 # rule choices built from them, are hash-consed (Filliâtre & Conchon,
 # "Type-safe modular hash-consing", ML 2006): a class call looks its class
 # and field values up in `_INTERNED` and returns the object already built
-# for them, so equal values are one object.  Such classes are
-# `@dataclass(frozen=True, eq=False)`: `==` is identity, and the hash is
-# `object.__hash__`, by address, which is never recomputed and never
-# recurses.  A key holds the node's children, which hash and compare the
-# same way, so looking a node up costs the same whatever its depth.
+# for them, so equal values are one object.  `Interned` makes each
+# subclass a frozen dataclass with `eq=False`, so no subclass states the
+# rule itself: `==` is identity, and the hash is `object.__hash__`, by
+# address, which is never recomputed and never recurses.  A key holds the
+# node's children, which hash and compare the same way, so looking a node
+# up costs the same whatever its depth.  `__match_args__`, which the
+# dataclass sets, is every walker's list of a class's fields.
 #
 # The table holds its nodes for the life of the process, so a search
 # that meets a value again, in the same check or a later one, finds it
@@ -74,7 +76,10 @@ class _Interning(type):
 
 
 class Interned(metaclass=_Interning):
-    """The base of the hash-consed classes."""
+    """The base of the hash-consed classes, each a frozen dataclass with identity equality."""
+
+    def __init_subclass__(cls):
+        dataclass(frozen=True, eq=False)(cls)
 
     def __reduce__(self):
         # Copies and unpickled objects are rebuilt by a class call, so they intern too.
@@ -84,42 +89,35 @@ class Interned(metaclass=_Interning):
 # ---------------------------------------------------------------------------
 # Abstract syntax
 
-@dataclass(frozen=True, eq=False)
 class IntLit(Interned):
     n: int
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Interned):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
 class BinOp(Interned):
     op: str
     left: "Atom"
     right: "Atom"
 
 
-@dataclass(frozen=True, eq=False)
 class And(Interned):
     left: "Atom"
     right: "Atom"
 
 
-@dataclass(frozen=True, eq=False)
 class Or(Interned):
     left: "Atom"
     right: "Atom"
 
 
-@dataclass(frozen=True, eq=False)
 class Assign(Interned):
     target: Var
     value: "Atom"
 
 
-@dataclass(frozen=True, eq=False)
 class If(Interned):
     # Parsed programs carry atoms in both branches.  The machine widens
     # the then-branch to a statement when it unrolls a while loop.
@@ -128,23 +126,19 @@ class If(Interned):
     else_body: "Atom | Stmt"
 
 
-@dataclass(frozen=True, eq=False)
 class While(Interned):
     cond: "Atom"
     body: "Atom"
 
 
-@dataclass(frozen=True, eq=False)
 class Open(Interned):
     file: str
 
 
-@dataclass(frozen=True, eq=False)
 class Close(Interned):
     file: str
 
 
-@dataclass(frozen=True, eq=False)
 class ReadND(Interned):
     """(target, pointer) = read(file) -- whilef dialect."""
 
@@ -153,7 +147,6 @@ class ReadND(Interned):
     file: str
 
 
-@dataclass(frozen=True, eq=False)
 class ReadAt(Interned):
     """target = read(file, pos) -- safe dialect."""
 
@@ -162,7 +155,6 @@ class ReadAt(Interned):
     pos: "Atom"
 
 
-@dataclass(frozen=True, eq=False)
 class Skip(Interned):
     pass
 
@@ -173,28 +165,23 @@ Atom = (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class AtomStmt(Interned):
     atom: Atom
 
 
-@dataclass(frozen=True, eq=False)
 class Seq(Interned):
     first: "Stmt"
     second: "Stmt"
 
 
-@dataclass(frozen=True, eq=False)
 class Fork(Interned):
     branches: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True, eq=False)
 class ForkFor(Interned):
     body: "Stmt"
 
 
-@dataclass(frozen=True, eq=False)
 class ForkIf(Interned):
     arms: tuple[tuple[Atom, "Stmt"], ...]
 
@@ -222,13 +209,11 @@ def files_of(node) -> set[str]:
 # ---------------------------------------------------------------------------
 # Generic traversal
 #
-# A node's children are the syntax nodes among its dataclass fields, in
+# A node's children are the syntax nodes among its fields, in
 # declaration order; a tuple field (fork branches, forkif arms) gives its
 # nodes in order, flattened.  Every other field value is a leaf.
 
-_FIELD_NAMES = {
-    cls: tuple(f.name for f in fields(cls)) for cls in get_args(Atom) + get_args(Stmt)
-}
+_NODE_CLASSES = frozenset(get_args(Atom) + get_args(Stmt))
 
 
 def walk(node):
@@ -238,9 +223,9 @@ def walk(node):
         item = stack.pop()
         if type(item) is tuple:
             stack.extend(reversed(item))
-        elif type(item) in _FIELD_NAMES:
+        elif type(item) in _NODE_CLASSES:
             yield item
-            stack.extend(getattr(item, name) for name in reversed(_FIELD_NAMES[type(item)]))
+            stack.extend(getattr(item, name) for name in reversed(item.__match_args__))
 
 
 def rebuild(node, f):
@@ -248,9 +233,9 @@ def rebuild(node, f):
     def child(value):
         if type(value) is tuple:
             return tuple(map(child, value))
-        return f(value) if type(value) in _FIELD_NAMES else value
+        return f(value) if type(value) in _NODE_CLASSES else value
 
-    return type(node)(*(child(getattr(node, name)) for name in _FIELD_NAMES[type(node)]))
+    return type(node)(*(child(getattr(node, name)) for name in node.__match_args__))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +546,9 @@ def parse_program(text: str, mode: Mode) -> Program:
 #
 # One printer for atoms and statements.  Assignment, if, while and the
 # read forms are self-bracketing only at the loosest level; as an operand
-# or an if branch they are parenthesized.  Statements bind tightest, so
+# or an if branch they are parenthesized.  An if in an if branch is not:
+# `then` always pairs with `else`, so it reparses the same, and a ladder
+# of ifs prints no deeper than it parsed.  Statements bind tightest, so
 # they never get parentheses (a while unrolling puts one in an if branch,
 # which only the machine ever prints, never for reparsing), and their
 # parts print at the loosest level.
@@ -585,11 +572,11 @@ def _format(node) -> tuple[str, int]:
         case Assign(Var(name), value):
             return f"{name} = {format_node(value)}", _PREC_LOOSE
         case If(cond, then_body, else_body):
-            return (
-                f"if {format_node(cond)} then {format_node(then_body, _PREC_OR)} "
-                f"else {format_node(else_body, _PREC_OR)}",
-                _PREC_LOOSE,
+            then_text, else_text = (
+                format_node(body, _PREC_LOOSE if type(body) is If else _PREC_OR)
+                for body in (then_body, else_body)
             )
+            return f"if {format_node(cond)} then {then_text} else {else_text}", _PREC_LOOSE
         case While(cond, body):
             return f"while {format_node(cond)} do {format_node(body)}", _PREC_LOOSE
         case Open(f) | Close(f):

@@ -1,4 +1,8 @@
-"""Every module-level import and private name in the package is used."""
+"""Every module-level import and private name in the package is used.
+
+Also: no hash-consed class restates, by a decorator, the dataclass rule
+that its base `syntax.Interned` applies.
+"""
 
 import ast
 from pathlib import Path
@@ -43,6 +47,15 @@ def unread_private_names(source: str) -> list[str]:
     ]
 
 
+def decorated_interned_classes(source: str) -> list[str]:
+    """Classes in `source` that subclass `Interned` by name and have a decorator."""
+    return [
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.decorator_list
+        and any(isinstance(base, ast.Name) and base.id == "Interned" for base in node.bases)
+    ]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd(b)\n") == ["os"]
 
@@ -60,3 +73,13 @@ def test_module_has_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def test_the_check_sees_a_decorated_interned_class():
+    source = "@dataclass\nclass A(Interned): pass\nclass B(Interned): pass\n@dataclass\nclass C: pass\n"
+    assert decorated_interned_classes(source) == ["A"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_interned_classes_have_no_decorator(path):
+    assert decorated_interned_classes(path.read_text()) == []

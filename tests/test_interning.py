@@ -76,6 +76,19 @@ def test_every_report_class_is_interned_with_identity_equality(cls):
     assert cls.__hash__ is object.__hash__
 
 
+def test_a_subclass_is_made_a_frozen_dataclass_with_identity_equality():
+    class Pair(Interned):
+        first: int
+        second: object
+
+    x = ("x",)
+    assert dataclasses.is_dataclass(Pair) and Pair.__match_args__ == ("first", "second")
+    assert Pair.__eq__ is object.__eq__ and Pair.__hash__ is object.__hash__
+    assert Pair(1, x) is Pair(1, x) is Pair(first=1, second=x)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Pair(1, x).first = 2
+
+
 def test_equal_fields_build_the_same_object():
     for trace in TRACES:
         for value in values_of(trace):

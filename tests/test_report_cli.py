@@ -39,6 +39,7 @@ from filesafe.report import (
     format_choice,
     format_frame,
     format_step,
+    format_trace,
     summarize_control,
     trace_from_obj,
     trace_to_obj,
@@ -241,6 +242,20 @@ def test_control_summaries_elide_long_stacks():
     assert all("::" in s for s in summaries if "::" in s)
 
 
+def test_run_and_the_text_report_print_traces_alike(capsys):
+    case = corpus_case("div_zero")
+    assert main(run_argv("div_zero")) == 1
+    trace = run_single(case.config(), case.bounds())
+    assert capsys.readouterr().out.splitlines()[:-1] == format_trace(trace)
+    assert main(check_argv("div_zero")) == 1
+    witness = explore(case.config(), case.bounds()).witness
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(f"witness ({len(witness.steps)} steps):") + 1
+    assert lines[start:start + len(witness.steps) + 1] == [
+        "  " + line for line in format_trace(witness)
+    ]
+
+
 def test_step_lines_carry_env_and_statuses():
     case = corpus_case("seq_read")
     trace = run_single(case.config(), case.bounds())
@@ -398,6 +413,29 @@ def test_relax_to_file_round_trips(tmp_path, capsys):
 
     relaxed = parse_program(out_path.read_text(), Mode.WHILEF)
     assert relaxed.body == relax_program(case.program()).body
+
+
+# `if` ladders in the else and in the then branch.  Printed text that
+# parenthesized each inner `if` would nest twice as deep as its source,
+# past the parser's limit.
+IF_LADDERS = {
+    "else": lambda n: "x = " + "if 1 then skip else " * n + "skip",
+    "then": lambda n: "x = " + "if 1 then " * n + "skip" + " else skip" * n,
+}
+
+
+@pytest.mark.parametrize("n", [50, 60, 98])
+@pytest.mark.parametrize("branch", sorted(IF_LADDERS))
+def test_relaxed_if_ladders_reparse_to_the_same_program(branch, n, tmp_path, capsys):
+    from filesafe import parse_program
+
+    source, out_path = tmp_path / "ladder.swf", tmp_path / "relaxed.wf"
+    source.write_text(IF_LADDERS[branch](n) + "\n")
+    assert main(["relax", str(source), str(out_path)]) == 0
+    relaxed = relax_program(parse_program(source.read_text(), Mode.SAFE))
+    assert parse_program(out_path.read_text(), Mode.WHILEF).body is relaxed.body
+    assert main(["check", str(out_path), "--mode", "whilef"]) in (0, 1, 2)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
