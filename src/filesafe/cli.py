@@ -146,8 +146,9 @@ def cmd_check(args) -> int:
     )
     if args.json is not None:
         # The text is built before the file is opened, so a report that
-        # cannot be encoded leaves no file behind.
-        _write_file(args.json, json.dumps(report.to_obj(), indent=2) + "\n")
+        # cannot be encoded leaves no file behind.  Without `indent`, json
+        # runs its C encoder.
+        _write_file(args.json, json.dumps(report.to_obj(), separators=(",", ":")) + "\n")
         print(f"verdict: {report.verdict}")
     else:
         sys.stdout.write(report.render_text())

@@ -551,7 +551,13 @@ def parse_program(text: str, mode: Mode) -> Program:
 # of ifs prints no deeper than it parsed.  Statements bind tightest, so
 # they never get parentheses (a while unrolling puts one in an if branch,
 # which only the machine ever prints, never for reparsing), and their
-# parts print at the loosest level.
+# parts print at the loosest level.  A `;` chain and a run of operators
+# of one precedence print in a loop, so the printer recurses only as
+# deep as other nesting, which the parser bounds at 100 levels.
+
+def _op_of(node) -> str:
+    return node.op if type(node) is BinOp else _LOGICAL_OP[type(node)]
+
 
 def format_node(node, min_prec: int = _PREC_LOOSE) -> str:
     text, prec = _format(node)
@@ -564,11 +570,15 @@ def _format(node) -> tuple[str, int]:
             return str(n), _PREC_TIGHT
         case Var(name):
             return name, _PREC_TIGHT
-        case BinOp(left=left, right=right) | And(left, right) | Or(left, right):
-            op = node.op if isinstance(node, BinOp) else _LOGICAL_OP[type(node)]
-            prec = _BINOP_PREC[op]
-            # Left-associative: the right operand must bind tighter.
-            return f"{format_node(left, prec)} {op} {format_node(right, prec + 1)}", prec
+        case BinOp() | And() | Or():
+            # Left-associative: the right operand must bind tighter.  A
+            # run of one precedence is walked down its left spine.
+            prec = _BINOP_PREC[_op_of(node)]
+            tails = []
+            while type(node) in (BinOp, And, Or) and _BINOP_PREC[_op_of(node)] == prec:
+                tails.append(f" {_op_of(node)} {format_node(node.right, prec + 1)}")
+                node = node.left
+            return format_node(node, prec) + "".join(reversed(tails)), prec
         case Assign(Var(name), value):
             return f"{name} = {format_node(value)}", _PREC_LOOSE
         case If(cond, then_body, else_body):
@@ -589,8 +599,13 @@ def _format(node) -> tuple[str, int]:
             return "skip", _PREC_TIGHT
         case AtomStmt(atom):
             return format_node(atom), _PREC_TIGHT
-        case Seq(first, second):
-            return f"{format_node(first)}; {format_node(second)}", _PREC_TIGHT
+        case Seq():
+            parts = []
+            while type(node) is Seq:  # down the right spine
+                parts.append(format_node(node.first))
+                node = node.second
+            parts.append(format_node(node))
+            return "; ".join(parts), _PREC_TIGHT
         case Fork(branches):
             return "fork{" + ", ".join(map(format_node, branches)) + "}", _PREC_TIGHT
         case ForkFor(body):

@@ -1,7 +1,8 @@
 """Every module-level import and private name in the package is used.
 
 Also: no hash-consed class restates, by a decorator, the dataclass rule
-that its base `syntax.Interned` applies.
+that its base `syntax.Interned` applies, and no `json.dumps`/`json.dump`
+call passes `indent=`, which sends it to the pure-Python encoder.
 """
 
 import ast
@@ -56,6 +57,17 @@ def decorated_interned_classes(source: str) -> list[str]:
     ]
 
 
+def indented_json_calls(source: str) -> list[int]:
+    """Lines of `json.dumps(...)`/`json.dump(...)` calls in `source` that pass `indent=`."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and node.func.attr in ("dumps", "dump")
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd(b)\n") == ["os"]
 
@@ -83,3 +95,16 @@ def test_the_check_sees_a_decorated_interned_class():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_interned_classes_have_no_decorator(path):
     assert decorated_interned_classes(path.read_text()) == []
+
+
+def test_the_check_sees_an_indented_json_call():
+    source = (
+        "json.dumps(a, indent=2)\njson.dumps(a, separators=(',', ':'))\n"
+        "json.dump(a, f, indent=None)\nother.dumps(a, indent=2)\n"
+    )
+    assert indented_json_calls(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_passes_no_indent_to_json(path):
+    assert indented_json_calls(path.read_text()) == []

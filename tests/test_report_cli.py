@@ -567,6 +567,22 @@ def test_long_programs_get_their_verdict(name, tmp_path, capsys):
         assert result.stdout.startswith("verdict: safe\n"), extra
 
 
+@pytest.mark.parametrize("name", sorted(LONG))
+def test_long_programs_run_to_the_end(name, tmp_path, capsys):
+    # `run` prints every control, so a `;` chain or a long sum is printed
+    # once per step.
+    source, states = LONG[name]
+    path = tmp_path / "long.wf"
+    path.write_text(source)
+    argv = ["run", str(path), "--mode", "whilef", "--first"]
+    last = f"outcome: final after {states - 1} steps\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith(last)
+    result = run_cli(argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.endswith(last)
+
+
 def test_a_deep_unsafe_program_gets_its_json_report(tmp_path, capsys):
     # An assignment of an AST 494 nodes deep, then a stuck division.  The
     # text report formats the witness with the recursive printer, which

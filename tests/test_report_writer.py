@@ -2,7 +2,7 @@
 
 `trace_to_obj` stores each distinct frame, node and choice once, as a
 row whose children are indices of earlier rows, and `check --json`
-writes the report with `json.dumps(obj, indent=2)`.
+writes the report as one line, `json.dumps(obj, separators=(",", ":"))`.
 """
 
 import json
@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from filesafe import Mode, ReadMode, initial_config, run_single
 from filesafe.cli import main
-from filesafe.report import _RENAMED, _TAGS, decode, trace_from_obj, trace_to_obj
+from filesafe.report import (
+    _RENAMED, _TAGS, Report, decode, trace_from_obj, trace_to_obj,
+)
 from filesafe.semantics import Bounds
 
 from generators import random_program, random_store
@@ -90,8 +92,27 @@ def test_long_witness_report_is_json_dumps_of_itself(tmp_path, capsys):
     assert main(["check", str(source), "--mode", "whilef", "--json", str(path)]) == 1
     assert capsys.readouterr().out == "verdict: unsafe\n"
     text = path.read_text(encoding="utf-8")
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1
     witness = json.loads(text)["witness"]
     assert len(witness["steps"]) > 600
     # The loop body is stored once, not once per step.
     assert len(witness["nodes"]) < len(witness["steps"])
+
+
+def test_an_indented_report_reads_as_the_compact_one(tmp_path, capsys):
+    # Earlier versions wrote the same document with indent=2.
+    source = tmp_path / "loop.wf"
+    source.write_text("x = 0; while x < 3 do x = x + 1; 1 / 0\n")
+    path = tmp_path / "report.json"
+    assert main(["check", str(source), "--mode", "whilef", "--json", str(path)]) == 1
+    capsys.readouterr()
+    compact = path.read_text(encoding="utf-8")
+    indented = json.dumps(json.loads(compact), indent=2) + "\n"
+    compact_report, indented_report = (
+        Report.from_obj(json.loads(text)) for text in (compact, indented)
+    )
+    assert json.loads(indented)["schema"] == "filesafe-report/2"
+    assert indented_report == compact_report
+    assert indented_report.render_text() == compact_report.render_text()
+    assert compact_report.render_text().startswith("verdict: unsafe\n")
