@@ -29,7 +29,9 @@ from .machine import Configuration, canonical_key, ctrl, is_final, make_configur
 from .semantics import (
     Bounds, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance, step,
 )
-from .syntax import IntLit, Mode, Program, ReadAt, ReadND, make_program, rebuild
+from .syntax import (
+    And, BinOp, IntLit, Mode, Or, Program, ReadAt, ReadND, Seq, make_program, rebuild,
+)
 
 OUTCOME_FINAL = "final"
 OUTCOME_STUCK = "stuck"
@@ -349,6 +351,25 @@ def _relax(node, fresh):
     # A dropped position subtree is gone entirely; nothing in it is numbered.
     if isinstance(node, ReadAt):
         return ReadND(node.target, next(fresh), node.file)
+    if type(node) is Seq:  # a `;` chain: its items, then its tail, in a loop
+        items = []
+        while type(node) is Seq:
+            items.append(_relax(node.first, fresh))
+            node = node.second
+        node = _relax(node, fresh)
+        for item in reversed(items):
+            node = Seq(item, node)
+        return node
+    if type(node) in (BinOp, And, Or):  # an operator run: down its left spine, in a loop
+        run = []
+        while type(node) in (BinOp, And, Or):
+            run.append(node)
+            node = node.left
+        node = _relax(node, fresh)
+        for link in reversed(run):
+            right = _relax(link.right, fresh)
+            node = BinOp(link.op, node, right) if type(link) is BinOp else type(link)(node, right)
+        return node
     return rebuild(node, lambda child: _relax(child, fresh))
 
 

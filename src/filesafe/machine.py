@@ -88,6 +88,17 @@ Frame = Ctrl | HoleOpRight | HoleOpLeft | HoleAssign | HoleIf | HoleRead | Unit 
 
 _UNIT = Unit()
 
+# What each hole frame stands for, given the atom that fills its hole:
+# `normalize_control` plugs in a value, and the report printer plugs in
+# the variable `_`.
+PLUG = {
+    HoleOpRight: lambda hole, atom: BinOp(hole.op, atom, hole.right),
+    HoleOpLeft: lambda hole, atom: BinOp(hole.op, IntLit(hole.left), atom),
+    HoleAssign: lambda hole, atom: Assign(Var(hole.target), atom),
+    HoleIf: lambda hole, atom: If(atom, hole.then_body, hole.else_body),
+    HoleRead: lambda hole, atom: ReadAt(hole.target, hole.file, atom),
+}
+
 
 def ctrl(item: Atom | Stmt) -> Ctrl:
     """Wrap a control item, unwrapping single-atom statements."""
@@ -197,22 +208,12 @@ def normalize_control(frames: Iterable[Frame]) -> tuple[Frame, ...]:
         if isinstance(head, Value):
             if len(frames) == 1:
                 return tuple(frames)
-            nxt = frames[1]
-            if isinstance(nxt, HoleOpRight):
-                plugged = Ctrl(BinOp(nxt.op, IntLit(head.n), nxt.right))
-            elif isinstance(nxt, HoleOpLeft):
-                plugged = Ctrl(BinOp(nxt.op, IntLit(nxt.left), IntLit(head.n)))
-            elif isinstance(nxt, HoleAssign):
-                plugged = Ctrl(Assign(Var(nxt.target), IntLit(head.n)))
-            elif isinstance(nxt, HoleIf):
-                plugged = Ctrl(If(IntLit(head.n), nxt.then_body, nxt.else_body))
-            elif isinstance(nxt, HoleRead):
-                plugged = Ctrl(ReadAt(nxt.target, nxt.file, IntLit(head.n)))
-            else:
+            plug = PLUG.get(type(frames[1]))
+            if plug is None:
                 # Unconsumed result of an expression statement.
                 frames.pop(0)
-                continue
-            frames[:2] = [plugged]
+            else:
+                frames[:2] = [Ctrl(plug(frames[1], IntLit(head.n)))]
             continue
         if isinstance(head, Unit) and len(frames) > 1:
             frames.pop(0)

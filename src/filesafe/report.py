@@ -19,7 +19,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .errors import SpecError
 from .machine import (
-    CLOSED, OPEN, Configuration, Ctrl, FileStore, HoleAssign, HoleIf,
+    CLOSED, OPEN, PLUG, Configuration, Ctrl, FileStore, HoleAssign, HoleIf,
     HoleOpLeft, HoleOpRight, HoleRead, Unit, Value, make_configuration,
 )
 from .semantics import ForkCount, Interleave, OraclePos, RuleInstance, Unique
@@ -68,6 +68,7 @@ _TAGS = {
     },
 }
 _RENAMED = {"then_body": "then", "else_body": "else"}
+_SPINES = frozenset({Seq, BinOp, And, Or})  # the classes `_Table.add` walks in a loop
 
 
 class _Table:
@@ -83,15 +84,33 @@ class _Table:
         self._index = {}
 
     def add(self, x) -> int:
-        """The index of the row of `x`, added after its children's if new."""
+        """The index of the row of `x`, added after its children's if new.
+
+        A `;` chain is walked down its right spine and an operator run
+        down its left spine in a loop, to the first node already in the
+        table, and the rows come out in the order recursion would give.
+        Rows are built here, not in a helper, so that other nesting costs
+        one Python frame per level.
+        """
         i = self._index.get(x)
         if i is None:
-            tag_key, tag, fields_ = _ENCODE[type(x)]
-            row = {tag_key: tag}
-            for name, key, encode_value in fields_:
-                row[key] = encode_value(self, getattr(x, name))
-            i = self._index[x] = len(self.rows)
-            self.rows.append(row)
+            todo = [x]
+            while type(x) in _SPINES:
+                if type(x) is Seq:
+                    self.add(x.first)
+                    x = x.second
+                else:
+                    x = x.left
+                if x in self._index:
+                    break
+                todo.append(x)
+            for x in reversed(todo):
+                tag_key, tag, fields_ = _ENCODE[type(x)]
+                row = {tag_key: tag}
+                for name, key, encode_value in fields_:
+                    row[key] = encode_value(self, getattr(x, name))
+                i = self._index[x] = len(self.rows)
+                self.rows.append(row)
         return i
 
 
@@ -335,20 +354,17 @@ def _step_from_obj(entry, objects):
 def format_frame(frame) -> str:
     if isinstance(frame, Ctrl):
         return format_node(frame.item)
-    # The hole prints as the variable `_`, so the printer adds parentheses.
-    if isinstance(frame, HoleOpRight):
-        return format_node(BinOp(frame.op, Var("_"), frame.right))
-    if isinstance(frame, HoleOpLeft):
-        return format_node(BinOp(frame.op, IntLit(frame.left), Var("_")))
-    if isinstance(frame, HoleAssign):
-        return f"{frame.target} = _"
     if isinstance(frame, HoleIf):
+        # Not PLUG's `if`: the branches print bare, not by the printer's
+        # branch rule, and the `/1` trace digest of `bools` pins that text.
         return (
             f"if _ then {format_node(frame.then_body)} "
             f"else {format_node(frame.else_body)}"
         )
-    if isinstance(frame, HoleRead):
-        return f"{frame.target} = read({frame.file}, _)"
+    plug = PLUG.get(type(frame))
+    if plug is not None:
+        # The hole prints as the variable `_`, so the printer adds parentheses.
+        return format_node(plug(frame, Var("_")))
     if isinstance(frame, Unit):
         return "()"
     if isinstance(frame, Value):

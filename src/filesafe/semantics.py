@@ -148,23 +148,31 @@ def enumerate_interleavings(
     if distinct:
         for i, branch in enumerate(branches):
             twin[i] = next((j for j in reversed(range(i)) if branches[j] == branch), -1)
-    out: list[Interleave] = []
+    out: list[Interleave] = [] if total else [Interleave(())]  # the one empty shuffle
     order: list[tuple[int, int]] = []
     taken = [0] * len(sizes)
-
-    def rec():
-        if len(order) == total:
+    # A depth-first search on an explicit stack, so that a long branch
+    # costs no recursion: `tries` holds, for each place of `order` filled
+    # so far and the next one, the first branch still to try there.
+    n = len(sizes)
+    tries = [0]
+    while tries:
+        i = tries[-1]
+        while i < n and not (taken[i] < sizes[i] and (twin[i] < 0 or taken[twin[i]] > taken[i])):
+            i += 1
+        if i < n:
+            tries[-1] = i + 1
+            order.append((i, taken[i]))
+            taken[i] += 1
+            if len(order) < total:
+                tries.append(0)
+                continue
             out.append(Interleave(tuple(order)))
-            return
-        for i in range(len(sizes)):
-            if taken[i] < sizes[i] and (twin[i] < 0 or taken[twin[i]] > taken[i]):
-                order.append((i, taken[i]))
-                taken[i] += 1
-                rec()
-                taken[i] -= 1
-                order.pop()
-
-    rec()
+        else:
+            tries.pop()
+            if not order:
+                break
+        taken[order.pop()[0]] -= 1
     return out
 
 

@@ -560,16 +560,11 @@ def _op_of(node) -> str:
 
 
 def format_node(node, min_prec: int = _PREC_LOOSE) -> str:
-    text, prec = _format(node)
-    return f"({text})" if prec < min_prec else text
-
-
-def _format(node) -> tuple[str, int]:
     match node:
         case IntLit(n):
-            return str(n), _PREC_TIGHT
+            text, prec = str(n), _PREC_TIGHT
         case Var(name):
-            return name, _PREC_TIGHT
+            text, prec = name, _PREC_TIGHT
         case BinOp() | And() | Or():
             # Left-associative: the right operand must bind tighter.  A
             # run of one precedence is walked down its left spine.
@@ -578,42 +573,44 @@ def _format(node) -> tuple[str, int]:
             while type(node) in (BinOp, And, Or) and _BINOP_PREC[_op_of(node)] == prec:
                 tails.append(f" {_op_of(node)} {format_node(node.right, prec + 1)}")
                 node = node.left
-            return format_node(node, prec) + "".join(reversed(tails)), prec
+            text = format_node(node, prec) + "".join(reversed(tails))
         case Assign(Var(name), value):
-            return f"{name} = {format_node(value)}", _PREC_LOOSE
+            text, prec = f"{name} = {format_node(value)}", _PREC_LOOSE
         case If(cond, then_body, else_body):
             then_text, else_text = (
                 format_node(body, _PREC_LOOSE if type(body) is If else _PREC_OR)
                 for body in (then_body, else_body)
             )
-            return f"if {format_node(cond)} then {then_text} else {else_text}", _PREC_LOOSE
+            text, prec = f"if {format_node(cond)} then {then_text} else {else_text}", _PREC_LOOSE
         case While(cond, body):
-            return f"while {format_node(cond)} do {format_node(body)}", _PREC_LOOSE
+            text, prec = f"while {format_node(cond)} do {format_node(body)}", _PREC_LOOSE
         case Open(f) | Close(f):
-            return f"{'open' if type(node) is Open else 'close'}({f})", _PREC_TIGHT
+            text, prec = f"{'open' if type(node) is Open else 'close'}({f})", _PREC_TIGHT
         case ReadND(x, p, f):
-            return f"({x}, {p}) = read({f})", _PREC_LOOSE
+            text, prec = f"({x}, {p}) = read({f})", _PREC_LOOSE
         case ReadAt(x, f, pos):
-            return f"{x} = read({f}, {format_node(pos)})", _PREC_LOOSE
+            text, prec = f"{x} = read({f}, {format_node(pos)})", _PREC_LOOSE
         case Skip():
-            return "skip", _PREC_TIGHT
+            text, prec = "skip", _PREC_TIGHT
         case AtomStmt(atom):
-            return format_node(atom), _PREC_TIGHT
+            text, prec = format_node(atom), _PREC_TIGHT
         case Seq():
             parts = []
             while type(node) is Seq:  # down the right spine
                 parts.append(format_node(node.first))
                 node = node.second
             parts.append(format_node(node))
-            return "; ".join(parts), _PREC_TIGHT
+            text, prec = "; ".join(parts), _PREC_TIGHT
         case Fork(branches):
-            return "fork{" + ", ".join(map(format_node, branches)) + "}", _PREC_TIGHT
+            text, prec = "fork{" + ", ".join(map(format_node, branches)) + "}", _PREC_TIGHT
         case ForkFor(body):
-            return "forkfor{" + format_node(body) + "}", _PREC_TIGHT
+            text, prec = "forkfor{" + format_node(body) + "}", _PREC_TIGHT
         case ForkIf(arms):
             inner = ", ".join(f"({format_node(guard)}, {format_node(s)})" for guard, s in arms)
-            return "forkif{" + inner + "}", _PREC_TIGHT
-    raise TypeError(f"not a syntax node: {node!r}")
+            text, prec = "forkif{" + inner + "}", _PREC_TIGHT
+        case _:
+            raise TypeError(f"not a syntax node: {node!r}")
+    return f"({text})" if prec < min_prec else text
 
 
 def pretty_print(program: Program) -> str:
@@ -630,11 +627,16 @@ def atoms_of(stmt: Stmt) -> list[Atom]:
     Sequencing flattens; if, while and assignment count as single atoms.
     Fork-family nodes have no atom decomposition and raise NestedForkError.
     """
-    match stmt:
-        case AtomStmt(atom):
-            return [atom]
-        case Seq(first, second):
-            return atoms_of(first) + atoms_of(second)
-        case Fork() | ForkFor() | ForkIf():
-            raise NestedForkError("fork-family statements cannot be atomized")
-    raise TypeError(f"not a statement: {stmt!r}")
+    atoms = []
+    stack = [stmt]
+    while stack:
+        match stack.pop():
+            case AtomStmt(atom):
+                atoms.append(atom)
+            case Seq(first, second):
+                stack += second, first
+            case Fork() | ForkFor() | ForkIf():
+                raise NestedForkError("fork-family statements cannot be atomized")
+            case other:
+                raise TypeError(f"not a statement: {other!r}")
+    return atoms

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -585,10 +586,12 @@ def test_long_programs_run_to_the_end(name, tmp_path, capsys):
 
 def test_a_deep_unsafe_program_gets_its_json_report(tmp_path, capsys):
     # An assignment of an AST 494 nodes deep, then a stuck division.  The
-    # text report formats the witness with the recursive printer, which
-    # this depth can still overflow, so only the JSON report is held here.
+    # printer and the report encoder spend one Python frame per level of
+    # it, so both reports are made even from pytest's deeper stack.
     path, report = tmp_path / "deep.wf", tmp_path / "report.json"
     path.write_text("x = " + "1 || 1 && 1 == 1 + 1 * (" * 98 + "1" + ")" * 98 + "; 1 / 0\n")
+    assert main(["check", str(path), "--mode", "whilef"]) == 1
+    assert capsys.readouterr().out.startswith("verdict: unsafe\n")
     argv = ["check", str(path), "--mode", "whilef", "--json", str(report)]
     assert main(argv) == 1
     assert capsys.readouterr().out == "verdict: unsafe\n"
@@ -596,6 +599,53 @@ def test_a_deep_unsafe_program_gets_its_json_report(tmp_path, capsys):
     validate_trace(witness, B)
     result = run_cli(argv)
     assert (result.returncode, result.stdout, result.stderr) == (1, "verdict: unsafe\n", "")
+
+
+# `;` chains, a fork branch and operator runs of 1,000 items, more than
+# Python's default recursion limit, with the commands each is held to: a
+# walk that recursed down the chain would exit 70.  Text `check` of the
+# unsafe chain is left out: its witness prints the rest of the chain at
+# every step, 6 MB in all.  The operator ladder nests 494 operator nodes,
+# each of which `relax` walks in one Python frame.
+LONG_CHAINS = {
+    "unsafe chain": (Mode.WHILEF, "skip;\n" * 1000 + "1 / 0\n", 1, [["check", "--json"]]),
+    "unsafe sum": (Mode.WHILEF, "x = " + " + ".join(["1"] * 1000) + "; 1 / 0\n", 1,
+                   [["check", "--json"]]),
+    "fork branch": (Mode.WHILEF, "fork {" + " skip;" * 1000 + " }\n", 0, [["check"], ["run"]]),
+    "positioned reads": (Mode.SAFE, "open(f);\n" + "x = read(f, 0);\n" * 1000, 0, [["relax"]]),
+    "positioned sum": (Mode.SAFE, "open(f); x = " + " + ".join(["(y = read(f, 0))"] * 1000),
+                       0, [["relax"]]),
+    "operator ladder": (Mode.SAFE, "x = " + "1 || 1 && 1 == 1 + 1 * (" * 98 + "1" + ")" * 98,
+                        0, [["relax"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CHAINS))
+def test_long_chains_end_in_their_exit_code(name, tmp_path, capsys):
+    from filesafe import parse_program
+
+    mode, source, code, commands = LONG_CHAINS[name]
+    path, out = tmp_path / "long.prog", tmp_path / "out"
+    path.write_text(source)
+    for command, *extra in commands:
+        if command == "relax":
+            argv = [command, str(path), str(out)]
+        else:
+            argv = [command, str(path), "--mode", mode.value, *extra]
+            argv += [str(out)] if extra else []
+        assert main(argv) == code, argv
+        capsys.readouterr()
+        result = run_cli(argv)
+        assert (result.returncode, result.stderr) == (code, ""), argv
+    if code == 1:
+        witness = trace_from_obj(json.loads(out.read_text())["witness"])
+        validate_trace(witness, B)
+        assert not is_final(witness.last)
+    if mode is Mode.SAFE:
+        relaxed = relax_program(parse_program(source, Mode.SAFE))
+        assert parse_program(out.read_text(), Mode.WHILEF).body is relaxed.body
+        pointers = re.findall(r"p__(\d+)", out.read_text())  # numbered in program order
+        assert pointers == [str(i) for i in range(source.count("read"))]
 
 
 def test_diagnostics_go_to_stderr(capsys):
