@@ -129,7 +129,10 @@ def cmd_check(args) -> int:
         verdict={Safe: "safe", Unsafe: "unsafe", Unknown: "unknown"}[type(verdict)],
         states=verdict.states_visited if isinstance(verdict, Safe) else None,
         normal_forms=verdict.normal_forms if isinstance(verdict, Safe) else None,
-        witness=trace_to_obj(verdict.witness) if isinstance(verdict, Unsafe) else None,
+        witness=(
+            trace_to_obj(verdict.witness, bounds, read_mode=read_mode, truthy=args.truthy)
+            if isinstance(verdict, Unsafe) else None
+        ),
         exhausted=verdict.exhausted if isinstance(verdict, Unknown) else None,
         frontier=verdict.frontier if isinstance(verdict, Unknown) else None,
         bounds={

@@ -1,12 +1,13 @@
 """Check reports and their JSON form.
 
-The JSON report is lossless: it carries full configurations (control
-frames, environment, statuses, file store), so an Unsafe witness can be
-deserialized and replayed through the step relation.  Each distinct
-syntax node, control frame and rule choice of a witness is stored once,
-as a row of its node table, and everything else refers to it by row
-index.  Text rendering summarizes the control to its first three frames
-to keep traces readable.
+Every configuration of a run follows from the program, its files and the
+nondeterministic choices made along the way, so an Unsafe witness stores
+just those: the program body as a node table, its files as a filesystem
+spec, the rules it ran under, and one rule and choice per step.
+Decoding rebuilds the start configuration and replays each step through
+the step relation, so a witness that decodes is a run of its program.
+Text rendering summarizes the control to its first three frames to keep
+traces readable.
 """
 
 from __future__ import annotations
@@ -17,62 +18,50 @@ from itertools import cycle
 from operator import index
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import SpecError
+from .errors import FileSafeError, SpecError
 from .machine import (
-    CLOSED, OPEN, PLUG, Configuration, Ctrl, FileStore, HoleAssign, HoleIf,
-    HoleOpLeft, HoleOpRight, HoleRead, Unit, Value, make_configuration,
+    PLUG, Ctrl, HoleIf, Unit, Value, initial_config, load_fs_spec,
 )
-from .semantics import ForkCount, Interleave, OraclePos, RuleInstance, Unique
+from .semantics import (
+    Bounds, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance, Unique,
+    step,
+)
 from .syntax import (
     And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
-    Open, Close, Or, ReadAt, ReadND, Seq, Skip, Var, While, format_node,
+    Open, Close, Or, Program, ReadAt, ReadND, Seq, Skip, Var, While, format_int,
+    format_node,
 )
 from .explorer import OUTCOME_CUTOFF, OUTCOME_FINAL, OUTCOME_STUCK, Trace
 
-SCHEMA = "filesafe-report/2"
+SCHEMA = "filesafe-report/3"
 _VERDICTS = ("safe", "unsafe", "unknown")
 _OUTCOMES = (OUTCOME_FINAL, OUTCOME_STUCK, OUTCOME_CUTOFF, None)  # a Trace's outcome
-_STATUSES = (OPEN, CLOSED)
-_MODES = {mode.value: mode for mode in Mode}
 
 
 # ---------------------------------------------------------------------------
 # Node tables
 #
-# Syntax nodes, control frames and rule choices share one encoding: a row
-# of a node table.  A row is an object whose first key is the tag, then
-# one key per dataclass field in declaration order, with tuples written
-# as lists.  A field that holds a node holds the index of an earlier row
-# instead; the field's declared type, not the JSON value, says which ints
-# are references.  Two exceptions keep the schema's names:
-# `then_body`/`else_body` are written `then`/`else`, and a `Var` field
-# (the assignment target) is written as the bare name.  No two kinds
-# share a tag.
+# A syntax node is stored as a row of a node table: an object whose first
+# key is "node", with the tag as its value, then one key per dataclass
+# field in declaration order, with tuples written as lists.  A field that
+# holds a node holds the index of an earlier row instead; the field's
+# declared type, not the JSON value, says which ints are references.  Two
+# exceptions keep the schema's names: `then_body`/`else_body` are written
+# `then`/`else`, and a `Var` field (the assignment target) is written as
+# the bare name.
 
 _TAGS = {
-    "node": {
-        IntLit: "int", Var: "var", BinOp: "binop", And: "and", Or: "or",
-        Assign: "assign", If: "if", While: "while", Open: "open",
-        Close: "close", ReadND: "read-nd", ReadAt: "read-at", Skip: "skip",
-        AtomStmt: "stmt", Seq: "seq", Fork: "fork", ForkFor: "forkfor",
-        ForkIf: "forkif",
-    },
-    "frame": {
-        Ctrl: "ctrl", HoleOpRight: "hole-op-right", HoleOpLeft: "hole-op-left",
-        HoleAssign: "hole-assign", HoleIf: "hole-if", HoleRead: "hole-read",
-        Unit: "unit", Value: "value",
-    },
-    "choice": {
-        Unique: "unique", Interleave: "interleave", ForkCount: "fork-count",
-        OraclePos: "oracle-pos",
-    },
+    IntLit: "int", Var: "var", BinOp: "binop", And: "and", Or: "or",
+    Assign: "assign", If: "if", While: "while", Open: "open", Close: "close",
+    ReadND: "read-nd", ReadAt: "read-at", Skip: "skip", AtomStmt: "stmt",
+    Seq: "seq", Fork: "fork", ForkFor: "forkfor", ForkIf: "forkif",
 }
 _RENAMED = {"then_body": "then", "else_body": "else"}
 _SPINES = frozenset({Seq, BinOp, And, Or})  # the classes `_Table.add` walks in a loop
 
 
 class _Table:
-    """The rows of distinct nodes, frames and choices, in order of first occurrence.
+    """The rows of distinct nodes, in order of first occurrence.
 
     A child's row comes before its parent's.  Nodes are interned, so an
     equal node is the same object, and one dict keyed on the node (by
@@ -105,8 +94,8 @@ class _Table:
                     break
                 todo.append(x)
             for x in reversed(todo):
-                tag_key, tag, fields_ = _ENCODE[type(x)]
-                row = {tag_key: tag}
+                tag, fields_ = _ENCODE[type(x)]
+                row = {"node": tag}
                 for name, key, encode_value in fields_:
                     row[key] = encode_value(self, getattr(x, name))
                 i = self._index[x] = len(self.rows)
@@ -114,21 +103,21 @@ class _Table:
         return i
 
 
-def encode(x) -> list:
-    """The node table of a syntax node, control frame or rule choice; `x`'s row is last."""
+def encode(node) -> list:
+    """The node table of a syntax node; `node`'s row is last."""
     table = _Table()
-    table.add(x)
+    table.add(node)
     return table.rows
 
 
 def decode(rows) -> list:
-    """The objects of the node table `rows`, one per row.
+    """The nodes of the node table `rows`, one per row.
 
     Rows are read once, in order, and each reference must be the index
-    of an earlier row of the kind its field holds, so equal rows decode
-    to one shared object.  Raises SpecError for anything `encode` cannot
-    have written: a non-object row, an unknown tag, a missing or extra
-    key, a value of the wrong JSON type, or a bad reference.
+    of an earlier row, so equal rows decode to one shared node.  Raises
+    SpecError for anything `encode` cannot have written: a non-object
+    row, an unknown tag, a missing or extra key, a value of the wrong
+    JSON type, or a bad reference.
     """
     objects = []
     for row in _check(rows, list, "nodes"):
@@ -160,19 +149,11 @@ def _diagnose(row) -> str:
     return f"{tag_key} {tag!r} has a value of the wrong type: {row!r:.80}"
 
 
-def _reference(tag_key: str):
-    """The decoder of a reference to an earlier row tagged under `tag_key`."""
-    classes = _TAGS[tag_key]
-
-    def decode_reference(value, objects):
-        if type(value) is int and 0 <= value < len(objects) and type(objects[value]) in classes:
-            return objects[value]
-        raise SpecError(f"expected the index of an earlier {tag_key} row, got {value!r:.80}")
-
-    return decode_reference
-
-
-_REFERENCE = {tag_key: _reference(tag_key) for tag_key in _TAGS}
+def _reference(value, objects):
+    """The node of an earlier row, from its index."""
+    if type(value) is int and 0 <= value < len(objects):
+        return objects[value]
+    raise SpecError(f"expected the index of an earlier row, got {value!r:.80}")
 
 
 def _field(hint):
@@ -189,7 +170,7 @@ def _field(hint):
         return (lambda table, var: var.name), (lambda name, objects: Var(str.__str__(name)))
     if get_origin(hint) is tuple:
         return _tuple_field(get_args(hint))
-    return _Table.add, _REFERENCE["node"]
+    return _Table.add, _reference
 
 
 def _copy(table, value):
@@ -219,17 +200,16 @@ def _build(cls, decoders, row, objects):
 
 
 def _fill_tables():
-    for tag_key, classes in _TAGS.items():
-        for cls, tag in classes.items():
-            hints = get_type_hints(cls)
-            names = cls.__match_args__
-            keys = tuple(_RENAMED.get(name, name) for name in names)
-            codecs = [_field(hints[name]) for name in names]
-            _ENCODE[cls] = (tag_key, tag, tuple(
-                (name, key, enc) for name, key, (enc, _) in zip(names, keys, codecs)
-            ))
-            decoders = tuple((key, dec) for key, (_, dec) in zip(keys, codecs))
-            _DECODE[tag_key, tag] = (partial(_build, cls, decoders), keys)
+    for cls, tag in _TAGS.items():
+        hints = get_type_hints(cls)
+        names = cls.__match_args__
+        keys = tuple(_RENAMED.get(name, name) for name in names)
+        codecs = [_field(hints[name]) for name in names]
+        _ENCODE[cls] = (tag, tuple(
+            (name, key, enc) for name, key, (enc, _) in zip(names, keys, codecs)
+        ))
+        decoders = tuple((key, dec) for key, (_, dec) in zip(keys, codecs))
+        _DECODE["node", tag] = (partial(_build, cls, decoders), keys)
 
 
 _ENCODE: dict = {}
@@ -255,97 +235,103 @@ def _unpack(obj, keys, what):
     raise SpecError(f"{what} needs keys {list(keys)}, got {list(obj)}")
 
 
-def _ints(values) -> bool:
-    """Whether each of `values` is an int and not a bool."""
-    return {*map(type, values)} <= {int}
-
-
 # ---------------------------------------------------------------------------
-# Configurations and traces
+# Traces
 
-def _config_to_obj(config: Configuration, table: _Table) -> dict:
+_WITNESS_KEYS = (
+    "mode", "read_mode", "truthy", "forkfor_max", "nodes", "files", "steps", "outcome",
+)
+
+
+def _start(mode: Mode, body, files: dict):
+    """The start configuration of `body` over exactly the files of the spec `files`."""
+    return initial_config(Program(mode, body, frozenset(files)), *load_fs_spec(files))
+
+
+def _choice_value(choice):
+    """The JSON value of a step's choice."""
+    if type(choice) is Interleave:
+        return [list(pair) for pair in choice.order]
+    if type(choice) is Unique:
+        return None
+    return choice.k if type(choice) is ForkCount else choice.n
+
+
+def trace_to_obj(trace: Trace, bounds: Bounds, *, read_mode: ReadMode, truthy: bool) -> dict:
+    """The JSON object of `trace`, a run of a program under these rules.
+
+    Raises ValueError unless `trace` starts at the start configuration
+    of a program: one whole body at the control head, an empty
+    environment and every cursor at 0.
+    """
+    start = trace.start
+    head = start.control[0]  # a literal body is already a value
+    body = IntLit(head.n) if type(head) is Value else getattr(head, "item", None)
+    files = {
+        name: {"status": status, "contents": list(data)}
+        for (name, data, _), (_, status) in zip(start.store.entries, start.status)
+    }
+    if body is None or _start(start.mode, body, files) is not start:
+        raise ValueError("a witness must start at the start configuration of its program")
     return {
-        "mode": config.mode.value,
-        "control": [table.add(f) for f in config.control],
-        "env": {name: value for name, value in config.env},
-        "status": {name: st for name, st in config.status},
-        "files": {
-            name: {"contents": list(data), "cursor": cursor}
-            for name, data, cursor in config.store.entries
-        },
+        "mode": start.mode.value,
+        "read_mode": read_mode.value,
+        "truthy": truthy,
+        "forkfor_max": bounds.forkfor_max,
+        "nodes": encode(body),
+        "files": files,
+        "steps": [
+            [rule_instance.rule, _choice_value(rule_instance.choice)]
+            for rule_instance, _ in trace.steps
+        ],
+        "outcome": trace.outcome,
     }
 
 
-def _config_from_obj(obj, objects) -> Configuration:
-    mode, control, env, status, files = _unpack(
-        obj, ("mode", "control", "env", "status", "files"), "configuration",
-    )
-    known = _MODES.get(mode) if type(mode) is str else None
-    if known is None:
-        raise SpecError(f"unknown mode {mode!r:.80}")
-    entries = []
-    for name, entry in sorted(_check(files, dict, "files").items()):
-        contents, cursor = _unpack(entry, ("contents", "cursor"), f"file {name!r}")
-        if not _ints(_check(contents, list, "contents")):
-            raise SpecError(f"contents of file {name!r} must be integers, got {contents!r:.80}")
-        if type(cursor) is not int or cursor < 0:
-            raise SpecError(
-                f"cursor of file {name!r} must be a non-negative integer, got {cursor!r:.80}"
-            )
-        entries.append((name, tuple(contents), cursor))
-    if not _ints(_check(env, dict, "env").values()):
-        raise SpecError(f"env values must be integers, got {env!r:.80}")
-    if not all(map(_STATUSES.__contains__, _check(status, dict, "status").values())):
-        raise SpecError(f"file statuses must be {OPEN!r} or {CLOSED!r}, got {status!r:.80}")
-    frame = _REFERENCE["frame"]
-    return make_configuration(
-        control=[frame(ref, objects) for ref in _check(control, list, "control")],
-        env=env,
-        status=status,
-        store=FileStore(tuple(entries)),
-        mode=known,
-    )
-
-
-def trace_to_obj(trace: Trace) -> dict:
-    """The JSON object of `trace`: its node table, then configurations that refer to it.
-
-    Consecutive configurations share most of their frames and syntax
-    subtrees, and each is one row of the table.
-    """
-    table = _Table()
-    start = _config_to_obj(trace.start, table)
-    steps = [
-        {
-            "rule": rule_instance.rule,
-            "choice": table.add(rule_instance.choice),
-            "config": _config_to_obj(config, table),
-        }
-        for rule_instance, config in trace.steps
-    ]
-    return {"nodes": table.rows, "start": start, "steps": steps, "outcome": trace.outcome}
-
-
 def trace_from_obj(obj) -> Trace:
-    nodes, start, steps, outcome = _unpack(obj, ("nodes", "start", "steps", "outcome"), "trace")
+    """The trace of the witness `obj`, every configuration rebuilt by replay.
+
+    Raises SpecError for a malformed witness, and for a step whose rule
+    and choice are not on offer from the configuration before it.
+    """
+    mode, read_mode, truthy, forkfor_max, nodes, files, steps, outcome = _unpack(
+        obj, _WITNESS_KEYS, "witness",
+    )
+    try:
+        mode, read_mode = Mode(mode), ReadMode(read_mode)
+    except ValueError as exc:  # Enum's "... is not a valid Mode"
+        raise SpecError(str(exc)[:120]) from None
+    if type(truthy) is not bool:
+        raise SpecError(f"truthy must be true or false, got {truthy!r:.80}")
+    if type(forkfor_max) is not int or forkfor_max < 0:
+        raise SpecError(f"forkfor_max must be a non-negative integer, got {forkfor_max!r:.80}")
     if outcome not in _OUTCOMES:
         raise SpecError(f"a trace outcome must be one of {_OUTCOMES}, got {outcome!r:.80}")
     objects = decode(nodes)
-    return Trace(
-        start=_config_from_obj(start, objects),
-        steps=tuple(_step_from_obj(entry, objects) for entry in _check(steps, list, "steps")),
-        outcome=outcome,
-    )
-
-
-def _step_from_obj(entry, objects):
-    rule, choice, config = _unpack(entry, ("rule", "choice", "config"), "trace step")
-    if type(rule) is not str:
-        raise SpecError(f"a step's rule must be a string, got {rule!r:.80}")
-    return (
-        RuleInstance(rule, _REFERENCE["choice"](choice, objects)),
-        _config_from_obj(config, objects),
-    )
+    if not objects:
+        raise SpecError("a witness needs at least one node")
+    bounds = Bounds(forkfor_max=forkfor_max)
+    config = start = _start(mode, objects[-1], _check(files, dict, "files"))
+    replayed = []
+    for entry in _check(steps, list, "steps"):
+        if type(entry) is not list or len(entry) != 2:
+            raise SpecError(f"a step must be a [rule, choice] pair, got {entry!r:.80}")
+        rule, value = entry
+        try:
+            successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
+        except (FileSafeError, LookupError, TypeError) as exc:
+            # A body the parser cannot produce: a nested fork, an unknown
+            # operator, or a statement where an atom belongs.
+            raise SpecError(f"step {len(replayed)} cannot be taken: {exc}") from None
+        for taken in successors:
+            offered = _choice_value(taken[0].choice)
+            if taken[0].rule == rule and offered == value and type(offered) is type(value):
+                replayed.append(taken)
+                config = taken[1]
+                break
+        else:
+            raise SpecError(f"step {len(replayed)} {entry!r:.80} is not on offer")
+    return Trace(start=start, steps=tuple(replayed), outcome=outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +354,31 @@ def format_frame(frame) -> str:
     if isinstance(frame, Unit):
         return "()"
     if isinstance(frame, Value):
-        return str(frame.n)
+        return format_int(frame.n)
     raise TypeError(f"not a frame: {frame!r}")
 
 
 _SUMMARY_FRAMES = 3
+_SUMMARY_FRAME_CHARS = 200  # a longer frame text is cut, so a step's line stays short
 
 
 def summarize_control(control, texts=None) -> str:
     """The first `_SUMMARY_FRAMES` frames of `control`, formatted.
 
-    `texts` maps each frame formatted so far to its text, so that
-    summaries of controls that share frames format each frame once.
+    Each frame's text is cut to `_SUMMARY_FRAME_CHARS` characters, the
+    last of them `…`.  `texts` maps each frame formatted so far to its
+    text, so that summaries of controls that share frames format each
+    frame once.
     """
     texts = {} if texts is None else texts
     parts = []
     for frame in control[:_SUMMARY_FRAMES]:
         text = texts.get(frame)
         if text is None:
-            text = texts[frame] = format_frame(frame)
+            text = format_frame(frame)
+            if len(text) > _SUMMARY_FRAME_CHARS:
+                text = text[:_SUMMARY_FRAME_CHARS - 1] + "…"
+            texts[frame] = text
         parts.append(text)
     if len(control) > _SUMMARY_FRAMES:
         parts.append("…")
@@ -405,9 +397,9 @@ def format_choice(choice) -> str:
     raise TypeError(f"not a choice: {choice!r}")
 
 
-def format_step(rule_instance: RuleInstance, config: Configuration, texts=None) -> str:
+def format_step(rule_instance: RuleInstance, config, texts=None) -> str:
     """One line for a step; `texts` is passed on to `summarize_control`."""
-    env_text = ", ".join(f"{n}={v}" for n, v in config.env)
+    env_text = ", ".join(f"{n}={format_int(v)}" for n, v in config.env)
     status_text = ", ".join(f"{n}={s}" for n, s in config.status)
     return (
         f"{rule_instance.rule} [{format_choice(rule_instance.choice)}] "

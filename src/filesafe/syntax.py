@@ -559,10 +559,18 @@ def _op_of(node) -> str:
     return node.op if type(node) is BinOp else _LOGICAL_OP[type(node)]
 
 
+def format_int(n: int) -> str:
+    """`n` in decimal, or past Python's int-to-str digit limit its sign and bit length."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"{'-' if n < 0 else ''}<int of {abs(n).bit_length()} bits>"
+
+
 def format_node(node, min_prec: int = _PREC_LOOSE) -> str:
     match node:
         case IntLit(n):
-            text, prec = str(n), _PREC_TIGHT
+            text, prec = format_int(n), _PREC_TIGHT
         case Var(name):
             text, prec = name, _PREC_TIGHT
         case BinOp() | And() | Or():

@@ -17,16 +17,23 @@ from filesafe import (
     UNIQUE, Mode, ReadMode, RuleInstance, initial_config, run_single, step,
 )
 from filesafe.cli import main
-from filesafe.machine import Configuration, FileStore, make_configuration
+from filesafe.machine import (
+    Configuration, Ctrl, FileStore, HoleAssign, HoleIf, HoleOpLeft, HoleOpRight, HoleRead,
+    Unit, Value, make_configuration,
+)
 from filesafe.report import _TAGS, decode, encode, trace_from_obj, trace_to_obj
-from filesafe.semantics import Bounds
+from filesafe.semantics import Bounds, ForkCount, Interleave, OraclePos, Unique
 from filesafe.syntax import _INTERNED, Interned
 
 from generators import random_program, random_safe_config, random_store
 
 B = Bounds(forkfor_max=2)
-TAGGED = {cls for classes in _TAGS.values() for cls in classes}
-INTERNED = sorted(TAGGED | {Configuration, FileStore, RuleInstance}, key=lambda cls: cls.__name__)
+FRAMES = {Ctrl, HoleOpRight, HoleOpLeft, HoleAssign, HoleIf, HoleRead, Unit, Value}
+CHOICES = {Unique, Interleave, ForkCount, OraclePos}
+INTERNED = sorted(
+    {*_TAGS, *FRAMES, *CHOICES, Configuration, FileStore, RuleInstance},
+    key=lambda cls: cls.__name__,
+)
 
 
 def fresh(value):
@@ -42,14 +49,15 @@ def fresh(value):
     return value
 
 
-def random_trace(seed: int):
+def random_run(seed: int):
+    """A random run and the read mode it ran under."""
     rng = random.Random(seed)
     read_mode = rng.choice(list(ReadMode))
     mode = Mode.WHILEF if read_mode is ReadMode.ORACLE else rng.choice(list(Mode))
     store = random_store(rng)
     status = {f: rng.choice("oc") for f in store.names()}
     c0 = initial_config(random_program(rng, mode), store, status)
-    return run_single(c0, B, seed=rng.randrange(1 << 30), read_mode=read_mode)
+    return run_single(c0, B, seed=rng.randrange(1 << 30), read_mode=read_mode), read_mode
 
 
 def values_of(trace):
@@ -64,7 +72,8 @@ def values_of(trace):
             stack.extend(value)
 
 
-TRACES = [random_trace(seed) for seed in range(60)]
+RUNS = [random_run(seed) for seed in range(60)]
+TRACES = [trace for trace, _ in RUNS]
 
 
 @pytest.mark.parametrize("cls", INTERNED, ids=lambda cls: cls.__name__)
@@ -117,13 +126,14 @@ def test_copies_and_unpickled_values_are_the_original():
 def test_decoding_an_encoded_value_gives_the_value():
     for trace in TRACES:
         for value in values_of(trace):
-            if type(value) in TAGGED:
+            if type(value) in _TAGS:
                 assert decode(json.loads(json.dumps(encode(value))))[-1] is value
 
 
 def test_decoded_traces_are_made_of_the_original_objects():
-    for trace in TRACES:
-        restored = trace_from_obj(json.loads(json.dumps(trace_to_obj(trace))))
+    for trace, read_mode in RUNS:
+        obj = trace_to_obj(trace, B, read_mode=read_mode, truthy=False)
+        restored = trace_from_obj(json.loads(json.dumps(obj)))
         assert restored.start is trace.start
         assert len(restored.steps) == len(trace.steps)
         for (rule_instance, config), (rule_again, config_again) in zip(

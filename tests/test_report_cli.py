@@ -33,7 +33,7 @@ from filesafe import (
     validate_trace,
 )
 from filesafe.cli import main
-from filesafe.machine import HoleOpLeft, HoleOpRight, is_final
+from filesafe.machine import Ctrl, HoleOpLeft, HoleOpRight, is_final
 from filesafe.report import (
     decode,
     encode,
@@ -61,24 +61,47 @@ def test_every_corpus_body_round_trips():
         assert decode(encode(body))[-1] == body, case.name
 
 
+def _obj(trace, case):
+    """The JSON object of `trace`, a run of `case`, through JSON text."""
+    obj = trace_to_obj(trace, case.bounds(), read_mode=case.read_mode, truthy=False)
+    return json.loads(json.dumps(obj))
+
+
 def test_choice_round_trips():
-    for choice in (UNIQUE, Interleave(((0, 0), (1, 0))), ForkCount(2), OraclePos(3)):
-        assert decode(json.loads(json.dumps(encode(choice))))[-1] == choice
+    # A step stores its choice as null, an order, a count or a position.
+    seen = set()
+    for name in ("fork_race", "forkfor_pointer", "oracle_predicate"):
+        case = corpus_case(name)
+        for seed in range(5):
+            trace = run_single(case.config(), case.bounds(), seed=seed, read_mode=case.read_mode)
+            restored = trace_from_obj(_obj(trace, case))
+            assert restored == trace
+            seen.update(type(rule_instance.choice) for rule_instance, _ in restored.steps)
+    assert seen == {type(UNIQUE), Interleave, ForkCount, OraclePos}
 
 
 def test_configs_along_traces_round_trip():
-    # Mid-trace configurations exercise every frame kind, holes included.
+    # Decoding replays the steps, so every mid-trace configuration, holes
+    # and all, is rebuilt as the very object the run made.  A trace that
+    # starts anywhere but at a program's start (one frame, no variables)
+    # cannot be written.
     for name in ("fork_race", "safe_pos_expr", "oracle_predicate"):
         case = corpus_case(name)
         trace = run_single(case.config(), case.bounds(), seed=5, read_mode=case.read_mode)
-        for config in (trace.start, *(c for _, c in trace.steps)):
-            assert trace_from_obj(trace_to_obj(Trace(config, ()))).start == config
+        restored = trace_from_obj(_obj(trace, case))
+        assert restored.start is trace.start
+        assert [c for _, c in restored.steps] == [c for _, c in trace.steps]
+        for _, config in trace.steps:
+            if len(config.control) == 1 and not config.env:
+                continue
+            with pytest.raises(ValueError, match="start configuration"):
+                trace_to_obj(Trace(config, ()), B, read_mode=case.read_mode, truthy=False)
 
 
 def test_traces_round_trip_and_still_validate():
     case = corpus_case("open_twice")
     verdict = explore(case.config(), case.bounds())
-    restored = trace_from_obj(trace_to_obj(verdict.witness))
+    restored = trace_from_obj(_obj(verdict.witness, case))
     assert restored == verdict.witness
     validate_trace(restored, case.bounds())
 
@@ -94,7 +117,8 @@ def test_report_round_trips():
     verdict = explore(case.config(), case.bounds())
     samples.append(
         Report("unsafe", states=None, normal_forms=None,
-               witness=trace_to_obj(verdict.witness), exhausted=None, frontier=None)
+               witness=trace_to_obj(verdict.witness, B, read_mode=ReadMode.CURSOR, truthy=False),
+               exhausted=None, frontier=None)
     )
     for report in samples:
         obj = report.to_obj()
@@ -105,19 +129,15 @@ def test_report_round_trips():
 def test_unsupported_schema_is_rejected():
     with pytest.raises(SpecError, match="schema"):
         Report.from_obj({"schema": "filesafe-report/999"})
-    with pytest.raises(SpecError, match="unsupported report schema 'filesafe-report/1'"):
-        Report.from_obj({"schema": "filesafe-report/1"})
+    for old in ("filesafe-report/1", "filesafe-report/2"):
+        with pytest.raises(SpecError, match=f"unsupported report schema '{old}'"):
+            Report.from_obj({"schema": old})
 
 
-def _trace(**keys):
-    """The trace object of open_twice's start, with `keys` replaced."""
-    trace = trace_to_obj(Trace(corpus_case("open_twice").config(), (), "stuck"))
-    return {**trace, **keys}
-
-
-def _start(**keys):
-    """_trace() with `keys` replaced in its start configuration."""
-    return _trace(start={**_trace()["start"], **keys})
+def _witness(**keys):
+    """open_twice's witness object, with `keys` replaced."""
+    case = corpus_case("open_twice")
+    return {**_obj(explore(case.config(), B).witness, case), **keys}
 
 
 INT = {"node": "int", "n": 1}
@@ -139,10 +159,12 @@ def _report(**keys):
     lambda: Report.from_obj({"schema": SCHEMA}),
     # A binop without its left operand.
     lambda: decode([INT, {"node": "binop", "op": "+", "right": 0}]),
-    # A list where a frame reference belongs.
-    lambda: trace_from_obj(_start(control=[[0]])),
-    # An unknown dialect.
-    lambda: trace_from_obj(_start(mode="nope")),
+    # A list where a node reference belongs.
+    lambda: decode([INT, {"node": "stmt", "atom": [0]}]),
+    # An unknown dialect and read mode.
+    lambda: trace_from_obj(_witness(mode="nope")),
+    lambda: trace_from_obj(_witness(read_mode="nope")),
+    lambda: trace_from_obj(_witness(read_mode=None)),
     # A node with a key its class does not have.
     lambda: decode([{"node": "int", "n": 1, "extra": 0}]),
     # An unknown tag, and a string where a node reference belongs.
@@ -155,67 +177,123 @@ def _report(**keys):
     lambda: Report.from_obj(_report(flags=[])),
     lambda: Report.from_obj(_report(wall_time_ms="5")),
     lambda: Report.from_obj(_report(verdict="maybe")),
-    # Containers of the wrong JSON type inside a configuration and a trace.
-    lambda: trace_from_obj(_start(control={})),
-    lambda: trace_from_obj(_start(files=[])),
-    lambda: trace_from_obj(_trace(steps={})),
-    # A trace step with the right number of keys, all of them wrong.
-    lambda: trace_from_obj(_trace(steps=[{"a": 0, "b": 0, "c": 0}])),
-    # References: past the end, to a later row, negative, not an int, to
-    # a row of the wrong kind (a node where a frame belongs).
+    # Containers of the wrong JSON type inside a witness.
+    lambda: trace_from_obj(_witness(nodes={})),
+    lambda: trace_from_obj(_witness(files=[])),
+    lambda: trace_from_obj(_witness(steps={})),
+    # A witness with a key missing, and with the `/2` start configuration.
+    lambda: trace_from_obj({k: v for k, v in _witness().items() if k != "truthy"}),
+    lambda: trace_from_obj(_witness(start={})),
+    # Rules that are not a bool and a non-negative integer.
+    lambda: trace_from_obj(_witness(truthy=1)),
+    lambda: trace_from_obj(_witness(truthy=None)),
+    lambda: trace_from_obj(_witness(forkfor_max=-1)),
+    lambda: trace_from_obj(_witness(forkfor_max=True)),
+    lambda: trace_from_obj(_witness(forkfor_max=2.0)),
+    # No program body.
+    lambda: trace_from_obj(_witness(nodes=[])),
+    # A `/2` trace step, with keys in place of a [rule, choice] pair, and
+    # steps that are not pairs.
+    lambda: trace_from_obj(_witness(steps=[{"rule": "seq", "choice": 0}])),
+    lambda: trace_from_obj(_witness(steps=[["seq"]])),
+    lambda: trace_from_obj(_witness(steps=[["seq", None, None]])),
+    lambda: trace_from_obj(_witness(steps=["seq"])),
+    # References: past the end, to a later row, negative, not an int.
     lambda: decode(_binop(left=2)),
     lambda: decode([{"node": "binop", "op": "+", "left": 1, "right": 1}, INT]),
     lambda: decode(_binop(left=-1)),
     lambda: decode(_binop(left=0.0)),
     lambda: decode(_binop(left=True)),
-    lambda: trace_from_obj(_start(control=[0])),
-    # A row under a tag key no kind has, and a tag of another kind.
+    # A row under a tag key no kind has, and a `/2` frame tag as a node's.
     lambda: decode([{"nope": "int", "n": 1}]),
-    lambda: decode([{"frame": "int", "n": 1}]),
+    lambda: decode([INT, {"node": "ctrl", "item": 0}]),
     # A fork-if arm that is not a pair.
     lambda: decode([INT, {"node": "stmt", "atom": 0}, {"node": "forkif", "arms": [[0]]}]),
-    # A filesafe-report/1 document.
+    # Filesafe-report/1 and /2 documents.
     lambda: Report.from_obj({**_report(), "schema": "filesafe-report/1"}),
+    lambda: Report.from_obj({**_report(), "schema": "filesafe-report/2"}),
 ], ids=[
-    "report-keys", "missing-key", "list-node", "mode", "extra-key", "tag",
-    "scalar-node", "scalar-type", "bounds-list", "flags-list",
-    "wall-time-string", "verdict-unknown", "control-object", "files-list",
-    "steps-object", "step-keys", "reference-out-of-range", "forward-reference",
-    "negative-reference", "float-reference", "bool-reference", "frame-reference-kind",
-    "unknown-tag-key", "tag-of-another-kind", "arm-length", "schema-1",
+    "report-keys", "missing-key", "list-node", "mode", "read-mode", "read-mode-null",
+    "extra-key", "tag", "scalar-node", "scalar-type", "bounds-list", "flags-list",
+    "wall-time-string", "verdict-unknown", "nodes-object", "files-list",
+    "steps-object", "witness-missing-key", "witness-extra-key", "truthy-int",
+    "truthy-null", "forkfor-max-negative", "forkfor-max-bool", "forkfor-max-float",
+    "nodes-empty", "step-keys", "step-short", "step-long", "step-string",
+    "reference-out-of-range", "forward-reference",
+    "negative-reference", "float-reference", "bool-reference",
+    "unknown-tag-key", "tag-of-another-kind", "arm-length", "schema-1", "schema-2",
 ])
 def test_malformed_documents_raise_spec_error(load):
     with pytest.raises(SpecError):
         load()
 
 
-def _witness_step(**keys):
-    """open_twice's witness, its one step with `keys` replaced."""
-    witness = trace_to_obj(explore(corpus_case("open_twice").config(), B).witness)
-    return {**witness, "steps": [{**witness["steps"][0], **keys}]}
+def _witness_step(rule, choice=None):
+    """open_twice's witness, its first step replaced by [rule, choice]."""
+    witness = _witness()
+    return {**witness, "steps": [[rule, choice], *witness["steps"][1:]]}
 
 
 def _file(**keys):
-    """_start() with `keys` replaced in its entry for file f."""
-    return _start(files={"f": {"contents": [], "cursor": 0, **keys}})
+    """_witness() with `keys` replaced in its entry for file f."""
+    return _witness(files={"f": {"status": "c", "contents": [], **keys}})
 
 
 @pytest.mark.parametrize("obj", [
     _file(contents=["a", None]), _file(contents=[1, True]), _file(contents=[1.5]),
-    _file(cursor="zero"), _file(cursor=-1), _file(cursor=True), _file(cursor=None),
-    _start(env={"x": "1"}), _start(env={"x": True}), _start(env={"x": 1.0}),
-    _start(status={"f": "open"}), _start(status={"f": None}), _start(status={"f": ["o"]}),
-    _witness_step(rule=7), _witness_step(rule=None), _witness_step(rule=["seq"]),
-    _trace(outcome="maybe"), _trace(outcome=1), _trace(outcome=[]),
+    _file(cursor=0), _witness(files={"f": []}),
+    _file(status="open"), _file(status=None), _file(status=["o"]),
+    _witness_step(7), _witness_step(None), _witness_step(["seq"]),
+    _witness(outcome="maybe"), _witness(outcome=1), _witness(outcome=[]),
 ], ids=[
-    "contents-strings", "contents-bool", "contents-float",
-    "cursor-string", "cursor-negative", "cursor-bool", "cursor-null",
-    "env-string", "env-bool", "env-float",
+    "contents-strings", "contents-bool", "contents-float", "file-cursor", "file-list",
     "status-word", "status-null", "status-list",
     "rule-int", "rule-null", "rule-list",
     "outcome-word", "outcome-int", "outcome-list",
 ])
 def test_trace_values_of_the_wrong_type_raise_spec_error(obj):
+    with pytest.raises(SpecError):
+        trace_from_obj(obj)
+
+
+def _oracle_witness(rule, choice):
+    """oracle_predicate's witness, the choice of its first `rule` step replaced by `choice`."""
+    case = corpus_case("oracle_predicate")
+    witness = _obj(explore(case.config(), B, read_mode=case.read_mode).witness, case)
+    steps = witness["steps"]
+    i = next(i for i, (name, _) in enumerate(steps) if name == rule)
+    return {**witness, "steps": [*steps[:i], [rule, choice], *steps[i + 1:]]}
+
+
+def _body(*rows):
+    """open_twice's witness with the node table `rows` and one op-apply step."""
+    return _witness(nodes=list(rows), files={}, steps=[["op-apply", None]])
+
+
+@pytest.mark.parametrize("obj", [
+    # A rule the configuration does not take, and a choice on a step
+    # that has none.
+    _witness_step("skip"), _witness_step("seq", 0),
+    # A fork order that is not an interleaving of the branches, a
+    # position past the end of the file, a count past forkfor_max, and a
+    # count or position that is not an integer.
+    _oracle_witness("fork", [[0, 1], [0, 0]]),
+    _oracle_witness("fork", []),
+    _oracle_witness("read-nd", 99),
+    _oracle_witness("forkfor", 3),
+    _oracle_witness("forkfor", True),
+    _oracle_witness("read-nd", "1"),
+    # A step past the stuck end.
+    _witness(steps=[*_witness()["steps"], ["open", None]]),
+    # Bodies the parser cannot produce: `1 ** 1`, and a fork in a fork branch.
+    _body(INT, {"node": "binop", "op": "**", "left": 0, "right": 0}),
+    _body({"node": "skip"}, {"node": "stmt", "atom": 0}, {"node": "fork", "branches": [1]},
+          {"node": "fork", "branches": [2]}),
+], ids=[
+    "rule", "choice-on-unique", "order", "order-short", "position", "count",
+    "count-bool", "position-string", "past-the-end", "operator", "nested-fork",
+])
+def test_steps_not_on_offer_raise_spec_error(obj):
     with pytest.raises(SpecError):
         trace_from_obj(obj)
 
@@ -241,6 +319,12 @@ def test_control_summaries_elide_long_stacks():
     summaries = [summarize_control(c.control) for _, c in trace.steps]
     assert any("…" in s for s in summaries)
     assert all("::" in s for s in summaries if "::" in s)
+    # A frame's text is cut at 200 characters, the last of them `…`.
+    from filesafe import parse_program
+
+    chain = Ctrl(parse_program("skip; " * 99 + "x = 1", Mode.WHILEF).body)
+    assert len(format_frame(chain)) == 599
+    assert summarize_control((chain,)) == format_frame(chain)[:199] + "…"
 
 
 def test_run_and_the_text_report_print_traces_alike(capsys):
@@ -604,8 +688,9 @@ def test_a_deep_unsafe_program_gets_its_json_report(tmp_path, capsys):
 # `;` chains, a fork branch and operator runs of 1,000 items, more than
 # Python's default recursion limit, with the commands each is held to: a
 # walk that recursed down the chain would exit 70.  Text `check` of the
-# unsafe chain is left out: its witness prints the rest of the chain at
-# every step, 6 MB in all.  The operator ladder nests 494 operator nodes,
+# unsafe chain is left out: each step's text is cut to 200 characters a
+# frame, but formatting still walks the rest of the chain at every step,
+# 2 s in all.  The operator ladder nests 494 operator nodes,
 # each of which `relax` walks in one Python frame.
 LONG_CHAINS = {
     "unsafe chain": (Mode.WHILEF, "skip;\n" * 1000 + "1 / 0\n", 1, [["check", "--json"]]),
@@ -666,26 +751,25 @@ def test_internal_errors_exit_70_with_one_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_internal_value_errors_are_not_bad_input(tmp_path, capsys):
-    # A valid program whose witness holds a 16,385-digit value: writing the
-    # report exceeds Python's int-to-str digit limit.
+def test_internal_value_errors_are_not_bad_input(tmp_path, capsys, default_digit_limit):
+    # A valid program whose witness holds a 16,385-digit value, past
+    # Python's int-to-str digit limit.  Text output prints such a value
+    # by its bit length, and the JSON witness holds no values at all, so
+    # both forms get the verdict, and the report replays.
     source = tmp_path / "square.wf"
     source.write_text("x = 10;\n" + "x = x * x;\n" * 14 + "1 / 0\n")
     report = tmp_path / "report.json"
     argv = ["check", str(source), "--mode", "whilef"]
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
-        for extra in ([], ["--json", str(report)]):
-            assert main(argv + extra) == 70
-            err = capsys.readouterr().err
-            assert err.startswith("filesafe: internal error: ValueError: ")
-            assert err.count("\n") == 1
-    finally:
-        sys.set_int_max_str_digits(limit)
-    # The failure comes before the report is opened, so no partial
-    # report is left behind.
-    assert not report.exists()
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "env={x=<int of 54427 bits>}" in out
+    assert main(argv + ["--json", str(report)]) == 1
+    assert capsys.readouterr().out == "verdict: unsafe\n"
+    witness = trace_from_obj(json.loads(report.read_text())["witness"])
+    validate_trace(witness, B)
+    assert not is_final(witness.last)
+    assert main(["run", *argv[1:]]) == 1
+    assert capsys.readouterr().out.endswith("outcome: stuck after 114 steps\n")
 
 
 @pytest.mark.parametrize("command", ["check", "relax"])
@@ -729,6 +813,7 @@ def test_relax_then_embed_pipeline(tmp_path):
     traces = normal_form_traces(case.config(), case.bounds())
     for trace in traces:
         embedded = embed_trace(trace, relaxed)
-        restored = trace_from_obj(json.loads(json.dumps(trace_to_obj(embedded))))
+        obj = trace_to_obj(embedded, B, read_mode=ReadMode.ORACLE, truthy=False)
+        restored = trace_from_obj(json.loads(json.dumps(obj)))
         assert restored == embedded
         validate_trace(restored, B, read_mode=ReadMode.ORACLE)

@@ -1,12 +1,14 @@
-"""Golden digests of the `filesafe-report/2` bytes, and of the `/1` bytes they encode.
+"""Golden digests of the `filesafe-report/3` bytes, and of the `/1` bytes they encode.
 
 The `/1` digests were recorded from the hand-written codec that the
-table-driven one replaced, and `/2` stores the same witnesses with each
-distinct node once.  Each `/2` report and trace is decoded and written
-again as `/1` by a reference encoder here, which must give the `/1`
-bytes, so `/2` loses nothing `/1` held.  Any change to key order, tags,
-row order or value encoding shows up here.  Regenerate the `/2` digests
-only together with a schema version bump.
+table-driven one replaced.  `/2` stored the same witnesses with each
+distinct node once, and `/3` stores only the program, its files and the
+choice made at each step, so decoding rebuilds every configuration by
+replay.  Each `/3` report and trace is decoded and written again as `/1`
+by a reference encoder here, which must give the `/1` bytes, so `/3`
+loses nothing `/1` held.  Any change to key order, tags, row order or
+value encoding shows up here.  Regenerate the `/3` digests only together
+with a schema version bump.
 
 The digests pin content, not layout: `report_bytes` parses the written
 report and dumps it again with `indent=2`, the layout they were recorded
@@ -14,7 +16,6 @@ from.  The layout is pinned by its assertion that the written text is
 exactly the compact `json.dumps(doc, separators=(",", ":"))` plus a
 newline.
 """
-
 import hashlib
 import json
 from dataclasses import fields
@@ -23,7 +24,11 @@ import pytest
 
 from filesafe import run_single
 from filesafe.cli import main
+from filesafe.machine import (
+    Ctrl, HoleAssign, HoleIf, HoleOpLeft, HoleOpRight, HoleRead, Unit, Value,
+)
 from filesafe.report import _TAGS, summarize_control, trace_from_obj, trace_to_obj
+from filesafe.semantics import ForkCount, Interleave, OraclePos, Unique
 from filesafe.syntax import Assign
 
 from conftest import CORPUS
@@ -33,61 +38,61 @@ SEEDS = (0, 1, 2)
 
 # The `check --json` report of each corpus case, wall_time_ms zeroed.
 REPORT_SHA256 = {
-    "skip": "74bc32940b0570241857330c76b045a7b1464b08fa0249080d7335f8c6cc5a76",
-    "final_value": "683c6a2835fc78e0388ebac08849e1eecccc7a67378ff4ba78da3f343276cafb",
-    "arith": "8819fc6c9ad511f893209f9b7743dd7000c59f335890220bbe3a483ae3fd1bdc",
-    "bools": "8819fc6c9ad511f893209f9b7743dd7000c59f335890220bbe3a483ae3fd1bdc",
-    "loop": "b7c42fbeda91b0889f86dbb5cbbab1d7df2a08da32283b21ca0ab4653a623b03",
-    "guard_stuck": "863e14635754395abe1feef3461a71172e1d4c6a987a5b848719de2999af7dbf",
-    "div_zero": "444c56a40fc1fe18b405e8ddb484c18c7022f7f695d81ac01386a1d50558189b",
-    "open_close": "4945b229b58b9c5e775185a6c0b744565c60ff87d465ddf7ed689016a16dad08",
-    "open_twice": "2e366c1d7d334e821eb7ff6a1e37b17a7b471dc68ced0bda5e8a9071e269b6bc",
-    "close_twice": "0ffcf2708f243479a681c7d06ccde29570434e0b5b21ba10eec858db3dfb0b06",
-    "close_unopened": "4ff624f47ef7272093324f0d67f6e16a011f8abe4a7db51bc02661d63db22cbc",
-    "read_closed": "8996e8b6ef0f3fa6cebb0ef18a85c5ebc33f08fc557f800aae0f33aaba0aa5b7",
-    "seq_read": "ab7bbbab70cb66aaf987bb476967cdce24afca7177c832f5185543791bd548bc",
-    "read_eof": "683c6a2835fc78e0388ebac08849e1eecccc7a67378ff4ba78da3f343276cafb",
-    "forkfor_pointer": "802dd8399e13bb6020c7f0bad6c4499561abb8e9408a4bd8a2eea85354b649ff",
-    "fork_race": "294945f52020c76bc7465937466b7a6a166a791f3151cf45f3e11b84814bd04a",
-    "forkif_guarded": "01652840cf285a9a482a4730373f938d94f2a321fc15dd53150f5cbbbf53e106",
-    "oracle_predicate": "afc1a2df28ff5c72d5320bf9e3899f4079ece45e36175cab753bf5bf452f953d",
-    "safe_read": "76bacf0b3f3f5e382808a5387ca358130bd2e326b160d3fdf24cc402f2a3b198",
-    "safe_pos_expr": "efb58728555aaaace113ea63e60817204424a6a7209d5e0e29e51dc97bb57b42",
-    "safe_fork": "d8ebca86a6e0d8be7789d00f68d4d38986e6c855dd4e4351778c684e5b114666",
-    "safe_forkif": "42e5dc3fc1899916d8ca06533acc48ce6f7c675d729333df091b3c86dacb7f97",
-    "safe_read_closed": "6669e8c92eb0b1b58f853b86f97cff50c5d4070ce8614dc5a131a554637792bf",
-    "safe_neg_pos": "b092af2ad7cd69aa97c4e48f1230a8b6ffa02f4f3f912e96f8031c39eb49a0c4",
-    "safe_seq": "ad616c70a31e9464bacbe493665f7923560413dc340719aba3cd0cc28f8579c3",
+    "skip": "2fbc7fdfe64e28fc0a1653e82998df256aba72b4a9d4b4421f0442a20729a7be",
+    "final_value": "33c0f59929af647cccded1ca725541c734dc8ae9c2048ba1668058e8d7bc37cb",
+    "arith": "7c6fbead2b2b5b253d7c7e80cec52dfbc4b77aa7723266f431793535e74e338d",
+    "bools": "7c6fbead2b2b5b253d7c7e80cec52dfbc4b77aa7723266f431793535e74e338d",
+    "loop": "a1064d05684607903b1dca91e43438c00c6bd95d901fdba49d0c3f22ae56a928",
+    "guard_stuck": "9ac01bc4407f56c0e13922830f7d15eb500dd6e7443c639073686887a2374543",
+    "div_zero": "7881aa23dbd11dc53e443193dc3db11f969566dd0f424ac6b11dc17219ef1c84",
+    "open_close": "cf9bc4165233f91193267c1325fd061fa537fce95f9f9d6f8049442e336809b7",
+    "open_twice": "46c300d136450ed74d574397a7b3bfab3742d8758a36f0c10c6fd89fed1e0222",
+    "close_twice": "68f3dec9513ab65a44f63fdce7d05cbcac5661813ba3db86e0b53d87830cdcbc",
+    "close_unopened": "9a8e550b30967b9d1bb2eb342c8da5f41843d2be49a369c0cb35703cfe81ba02",
+    "read_closed": "46acce1d2b3d27d85c959c74afc57c0ef3f132626b7047d00b69b486cb7d83d6",
+    "seq_read": "70ad6e58ee4d885d0fe49cc18f121bced0b65982640449b8890ce6354deb6681",
+    "read_eof": "33c0f59929af647cccded1ca725541c734dc8ae9c2048ba1668058e8d7bc37cb",
+    "forkfor_pointer": "466ed485faa15a25c379a00e6e36038c29d6daef718044873c7c17a737bdcbb0",
+    "fork_race": "881af6e73811c910ecd93676a7591e2de65d10f210b60c1688f64d5463bf6742",
+    "forkif_guarded": "2432df06f9ba05d8415b1edb8e6606562fe30d1576b4bab807519a2ce0783807",
+    "oracle_predicate": "d6f5ad622251bb25238147249e2cec2d574cdb7a3c2bf18a788fb71efc17b860",
+    "safe_read": "c7c2a4a3c65572b354aa4c49099aeb38300bd29dfdc2c95cbdc047783d7c899a",
+    "safe_pos_expr": "51987a0d383f231cbfadb0f4fde8620c71ea4bef196d3207c2fae8b8e3913eed",
+    "safe_fork": "19975375c26aae1b3151b2c0ce990907cd2059f458500525c0df9ed16779bc8e",
+    "safe_forkif": "d6b50eb7a123ed362a775c7fc1d5db26869681a8df476d9cb0510e8041b33c6f",
+    "safe_read_closed": "e1a4d4cd5e35c681c7f41fe83f8c0a4464fcc13ddb52cd16b8bea9b648e1e5e0",
+    "safe_neg_pos": "7bbc64229a3e2d125b0fc83850088e6814ab9a7cfc370592b3686435393c88e8",
+    "safe_seq": "e59c9c3e59c58d01ee16c094e1e59ad88816d2375516f791d3fccf17a804dd4f",
 }
 
 # json.dumps(trace_to_obj(run_single(..., seed=s)), indent=2) for each
 # seed in SEEDS, joined with newlines.
 TRACE_SHA256 = {
-    "skip": "e4f671ae71eef5c45fbcbf1b91ca78034f2137fb32f0f3bb9d591c3dcf1e4236",
-    "final_value": "ddf75fb83c29f2b2f47fb4bcbd87f6a8bd325ab9c7ec21b0bacad07109cce90e",
-    "arith": "d634bbbb8cd0c3e1b0bff99093f246072f6ad2e299ecc1efc50d1a414eef1466",
-    "bools": "9f26eccfa654ce5216406cb459948dbf33d8c168823d08a9788507e5181498d3",
-    "loop": "9633e2c87d83905da6cce2d6768f1191a3d3cb5b3d9c5af94c35a337b82c8058",
-    "guard_stuck": "2f793e9294f1df07d9abcd64f99ab13b47d9c44c42af71ae29c7cad7ae85c173",
-    "div_zero": "77b046457d4cbb6f3c38aab20696d015b5d0d26c072d492c787428ac220dd0f7",
-    "open_close": "bfc824a2826265bad3853e94b7ed3eea757c892012cfb90f1a059a9033aea55c",
-    "open_twice": "ab00a717ac94252dbb293bc2def8347929a005915c8c11184836c784e3d62121",
-    "close_twice": "f9d10f16aacec659d2e4abc0be6c0ed4d885b5e3a1cbee3513e530d58065fbf7",
-    "close_unopened": "24a078a74d653431d18a3cc2d7a31bafe2aa7c30f6fb0b5d03c31c4d5e8221a2",
-    "read_closed": "2cd0589dd647981961b6b57402b6a5a5a44ab6f96b0e3faccb2f118a0792bcc3",
-    "seq_read": "19066da96da3a56c96037637094576b2dfdf3fe9d618768ed24e70352f7bd29c",
-    "read_eof": "b54c1ed0610493b5162552e70380e21e99adef38c9eb1a0bafaa731aad0994fc",
-    "forkfor_pointer": "9c5ad2f315fbcb7b1ccd893857a99ec1d5fc7867387efa066ee7f0e09e54bfb4",
-    "fork_race": "8fa2c1a2c4ff877a2febe341fc8129d57acd4658dff52c3af4ed5234cdd2b153",
-    "forkif_guarded": "1d01a4d3071aa220fd6d5ef6fbf888a0ebdf9dacca9ac13c31baa92c4128734d",
-    "oracle_predicate": "cccf108f3db7f31e12403fb321eb4efaf2689bdb1afd74faa8a27379bc733c16",
-    "safe_read": "29746e3d73f5c05a073ce7798a9d14d1673d7db31351066043c03c9d4854d8c7",
-    "safe_pos_expr": "df99ffba5dba0c90a85a31b0b08ce570f5bad509150493eb8736fef633d82790",
-    "safe_fork": "eac5a6c499a580a355dd33cd19a4eeb367715be661bf1c1487acbb1958dad8ae",
-    "safe_forkif": "0f444ad0923a10d52814c9dc8aa042065a9b1537f0fd2b9cb1e38ab0d1ad2f8b",
-    "safe_read_closed": "de6643656c91b17e6b4b9fb4ef3c4c9d2359fff0de2bbfb49a86eb0a77402bab",
-    "safe_neg_pos": "1cc75254f24b7f795e8971e0fd7ce26a7ad3f8b0685528929294687da5e52899",
-    "safe_seq": "d1f5f4d368ac6df0463ccdee4faeaa97fa2b01c735dc133e8467e8fcee7bac57",
+    "skip": "4e9b381d184f289b9011fffd5461625337da6ff5f7e89d64021e1171a15e8aa1",
+    "final_value": "f9d665d966da7e82e1606c567841e57a2e77772de4e5b218376af5ef110924d7",
+    "arith": "58deecbce8e9217d4edd0b3e582b22d374d9b7adcedffaff8f996d0b8b02a985",
+    "bools": "8527d407c68b24c04bceebb773a9d6fe946f98cb8d357879bf1c86ef4a0260eb",
+    "loop": "c92e5bdb519173bbb4f353e34cf12d1ff1c0e09288bf73d9bc69ea8089aec078",
+    "guard_stuck": "f00251850e112bf32461db2e8c3afab8e0e60fb45ef59b3d69161ac110c64be2",
+    "div_zero": "dbc95a91daa0d0aadf4ee0b412707db8e9d4dc46f5a84098e17692a694897c94",
+    "open_close": "01d834c9045b5f24baf47d5e022fd95a9e1b00d16beb4bd789f79ee21831feed",
+    "open_twice": "a07ead62537146a6e50bc01ebdadfb97cadce7623c557db89b3465eb18a45866",
+    "close_twice": "0febcafca875dd1f87c59ba436121a49bd975923d38b1ea7294d5d77e537e9bd",
+    "close_unopened": "1854d0dc919723e2003fcc259e9394acafd406b35bfbaba6eabab3fa2988b37d",
+    "read_closed": "c5dfc6adf3bb678ce284963c16bf089f38f1ed85a67bb47555fb8cbaae144eb4",
+    "seq_read": "79ebe74d96ea0ed5562ff91e7a9e90c9363b5cbfd5f99fef61d7fc9a5f26082c",
+    "read_eof": "02210fa44b4f871ded6d1fd91df0d3a368df7153d817924a4dadd5c69b9200b4",
+    "forkfor_pointer": "444915a4fb3c84766c576d06a6a9cc5994fd9d22f158fcac319f899354d4ce6c",
+    "fork_race": "77aeadb6e57ac484f118670e006305bd3dfe33ce33d6018f0e13bc480a229927",
+    "forkif_guarded": "2744edfb6c3ce0a39d9b3d62143991b9f003ea00919921bc326b133631952072",
+    "oracle_predicate": "015b2badca9f75c06bd2fbb76448bc66fc0fd6c3522de72a474f696b64979d92",
+    "safe_read": "6d7aa5be0dc7863ea40cff48baadf46b750ee24041f9a13189a9e1eb3927afc7",
+    "safe_pos_expr": "a2d04eb7057f8ec2e7c847f152f724de6a1d7c566d612f7d0961a281a203380d",
+    "safe_fork": "73be2972b4473daaf43e8e75948c6882c5f7defe7260ea212be1bfeb39445ba1",
+    "safe_forkif": "c6a87e638bfbd31e2861d009d4d3ecefbbedd0506cb29057d5f3260b374bf21b",
+    "safe_read_closed": "675264aa2a6331b309b1c4bbf262793fe606dca42bf580f8685984c19b5201ea",
+    "safe_neg_pos": "bb41bed05264ab25392258decf44be6004ad50b1946960f6689b722900c64d2d",
+    "safe_seq": "75214321bf5eab834798508aa3a464ccd3c66a4c44f0d540f209b76088057c7f",
 }
 
 # The `filesafe-report/1` bytes of the `check --json` report of each
@@ -150,7 +155,8 @@ TRACE_V1_SHA256 = {
     "safe_seq": "566939c9a00ad47d1ffdaf39872ba92922138f31af543a04f08cf166efe1875b",
 }
 
-# Every (tag key, tag) pair the report schema defines.
+# Every (tag key, tag) pair of `/1`: `/3` writes only the node rows, and
+# the frame and choice tags are those of the `/1` reference encoder below.
 TAGS = {
     ("node", tag) for tag in (
         "int", "var", "binop", "and", "or", "assign", "if", "while", "open",
@@ -185,9 +191,10 @@ def report_bytes(case, tmp_path, capsys) -> bytes:
 
 def trace_texts(case) -> list[str]:
     return [
-        json.dumps(trace_to_obj(run_single(
-            case.config(), case.bounds(), seed=seed, read_mode=case.read_mode,
-        )), indent=2)
+        json.dumps(trace_to_obj(
+            run_single(case.config(), case.bounds(), seed=seed, read_mode=case.read_mode),
+            case.bounds(), read_mode=case.read_mode, truthy=False,
+        ), indent=2)
         for seed in SEEDS
     ]
 
@@ -197,7 +204,20 @@ def trace_texts(case) -> list[str]:
 # written out in full where it occurs, and each step with the summary of
 # its control.
 
-TAGGED = {cls: (key, tag) for key, classes in _TAGS.items() for cls, tag in classes.items()}
+FRAME_TAGS = {
+    Ctrl: "ctrl", HoleOpRight: "hole-op-right", HoleOpLeft: "hole-op-left",
+    HoleAssign: "hole-assign", HoleIf: "hole-if", HoleRead: "hole-read",
+    Unit: "unit", Value: "value",
+}
+CHOICE_TAGS = {
+    Unique: "unique", Interleave: "interleave", ForkCount: "fork-count",
+    OraclePos: "oracle-pos",
+}
+TAGGED = {
+    **{cls: ("node", tag) for cls, tag in _TAGS.items()},
+    **{cls: ("frame", tag) for cls, tag in FRAME_TAGS.items()},
+    **{cls: ("choice", tag) for cls, tag in CHOICE_TAGS.items()},
+}
 
 
 def v1_value(x):
@@ -228,7 +248,7 @@ def v1_config(config) -> dict:
 
 
 def v1_trace(obj) -> dict:
-    """The `/1` trace object of the `/2` trace object `obj`, decoded."""
+    """The `/1` trace object of the `/3` trace object `obj`, decoded."""
     trace = trace_from_obj(obj)
     return {
         "start": v1_config(trace.start),
@@ -272,6 +292,12 @@ def test_golden_traces_cover_every_tag():
     seen = set()
     for case in CORPUS:
         for text in trace_texts(case):
-            seen.update(next(iter(row.items())) for row in json.loads(text)["nodes"])
+            obj = json.loads(text)
+            seen.update(next(iter(row.items())) for row in obj["nodes"])
+            trace = trace_from_obj(obj)
+            for rule_instance, config in ((None, trace.start), *trace.steps):
+                seen.update(TAGGED[type(frame)] for frame in config.control)
+                if rule_instance is not None:
+                    seen.add(TAGGED[type(rule_instance.choice)])
     assert seen == TAGS
-    assert TAGS == {(key, tag) for key, classes in _TAGS.items() for tag in classes.values()}
+    assert TAGS == set(TAGGED.values())
