@@ -323,7 +323,8 @@ def validate_trace(
     """Check that every step of `trace` is a real successor, else raise."""
     config = trace.start
     for i, (rule_instance, after) in enumerate(trace.steps):
-        successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
+        order = getattr(rule_instance.choice, "order", ())  # a fork lays out this one alone
+        successors = step(config, bounds, read_mode=read_mode, truthy=truthy, order=order)
         if (rule_instance, after) not in successors:
             raise InvalidTraceError(
                 f"step {i} ({rule_instance.rule}) is not a successor of its predecessor"

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import cycle
-from operator import index
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import FileSafeError, SpecError
@@ -23,7 +22,7 @@ from .machine import (
     PLUG, Ctrl, HoleIf, Unit, Value, initial_config, load_fs_spec,
 )
 from .semantics import (
-    Bounds, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance, Unique,
+    _OPS, Bounds, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance, Unique,
     step,
 )
 from .syntax import (
@@ -48,7 +47,9 @@ _OUTCOMES = (OUTCOME_FINAL, OUTCOME_STUCK, OUTCOME_CUTOFF, None)  # a Trace's ou
 # declared type, not the JSON value, says which ints are references.  Two
 # exceptions keep the schema's names: `then_body`/`else_body` are written
 # `then`/`else`, and a `Var` field (the assignment target) is written as
-# the bare name.
+# the bare name.  Decoding also checks what the types say beyond JSON: a
+# reference is to a node of the field's kind, and a `binop` operator is
+# one `step` can apply.
 
 _TAGS = {
     IntLit: "int", Var: "var", BinOp: "binop", And: "and", Or: "or",
@@ -117,17 +118,17 @@ def decode(rows) -> list:
     of an earlier row, so equal rows decode to one shared node.  Raises
     SpecError for anything `encode` cannot have written: a non-object
     row, an unknown tag, a missing or extra key, a value of the wrong
-    JSON type, or a bad reference.
+    JSON type, a bad reference, or an unknown operator.
     """
     objects = []
     for row in _check(rows, list, "nodes"):
         obj = None
-        if type(row) is dict and row:
+        if type(row) is dict:
             try:
-                build, keys = _DECODE[next(iter(row.items()))]
+                build, keys = _DECODE[row.get("node")]
                 if len(row) == len(keys) + 1:
                     obj = build(row, objects)
-            except (KeyError, TypeError):  # a missing key or a value of the wrong type
+            except (KeyError, TypeError):  # a missing key, an unhashable tag or a wrong type
                 pass
         if obj is None:
             raise SpecError(_diagnose(row))
@@ -137,23 +138,30 @@ def decode(rows) -> list:
 
 def _diagnose(row) -> str:
     """Why `row` is not a row that `encode` could have written."""
-    if type(row) is not dict or not row:
+    if type(row) is not dict:
         return f"expected a node table row, got {row!r:.80}"
-    tag_key, tag = next(iter(row.items()))
-    entry = _DECODE.get((tag_key, tag)) if type(tag) is str else None
+    tag = row.get("node")
+    entry = _DECODE.get(tag) if type(tag) is str else None
     if entry is None:
-        return f"unknown {tag_key:.40} {tag!r:.80}"
-    keys = [tag_key, *entry[1]]
+        return f"unknown node {tag!r:.80}"
+    keys = ["node", *entry[1]]
     if sorted(row) != sorted(keys):
-        return f"{tag_key} {tag!r} needs keys {keys}, got {list(row)}"
-    return f"{tag_key} {tag!r} has a value of the wrong type: {row!r:.80}"
+        return f"node {tag!r} needs keys {keys}, got {list(row)}"
+    return f"node {tag!r} has a value of the wrong type: {row!r:.80}"
 
 
-def _reference(value, objects):
-    """The node of an earlier row, from its index."""
-    if type(value) is int and 0 <= value < len(objects):
+def _reference(kinds, value, objects):
+    """The node of an earlier row, from its index; its class must be one of `kinds`."""
+    if type(value) is int and 0 <= value < len(objects) and type(objects[value]) in kinds:
         return objects[value]
-    raise SpecError(f"expected the index of an earlier row, got {value!r:.80}")
+    raise SpecError(f"expected the index of an earlier row of the right kind, got {value!r:.80}")
+
+
+def _operator(value, objects):
+    """A `binop` operator; `&&` and `||` have rows of their own."""
+    if type(value) is str and value in _OPS:
+        return value
+    raise SpecError(f"unknown operator {value!r:.80}")
 
 
 def _field(hint):
@@ -162,15 +170,20 @@ def _field(hint):
     An encoder takes the table and the field's value; a decoder takes the
     JSON value and the objects of the rows decoded so far.
     """
-    if hint is int:
-        return _copy, lambda value, objects: index(value)
-    if hint is str:
-        return _copy, lambda value, objects: str.__str__(value)  # rejects anything but a string
+    if hint is int or hint is str:
+        return _copy, partial(_exact, hint)
     if hint is Var:
-        return (lambda table, var: var.name), (lambda name, objects: Var(str.__str__(name)))
+        return (lambda table, var: var.name), (lambda name, objs: Var(_exact(str, name, objs)))
     if get_origin(hint) is tuple:
         return _tuple_field(get_args(hint))
-    return _Table.add, _reference
+    return _Table.add, partial(_reference, frozenset(get_args(hint)))  # a union of node classes
+
+
+def _exact(kind, value, objects):
+    """`value`, a JSON value of exactly the type `kind`: a bool is not an int."""
+    if type(value) is kind:
+        return value
+    raise SpecError(f"expected a JSON {kind.__name__}, got {value!r:.80}")
 
 
 def _copy(table, value):
@@ -204,12 +217,15 @@ def _fill_tables():
         hints = get_type_hints(cls)
         names = cls.__match_args__
         keys = tuple(_RENAMED.get(name, name) for name in names)
-        codecs = [_field(hints[name]) for name in names]
+        codecs = [
+            (_copy, _operator) if (cls, name) == (BinOp, "op") else _field(hints[name])
+            for name in names
+        ]
         _ENCODE[cls] = (tag, tuple(
             (name, key, enc) for name, key, (enc, _) in zip(names, keys, codecs)
         ))
         decoders = tuple((key, dec) for key, (_, dec) in zip(keys, codecs))
-        _DECODE["node", tag] = (partial(_build, cls, decoders), keys)
+        _DECODE[tag] = (partial(_build, cls, decoders), keys)
 
 
 _ENCODE: dict = {}
@@ -246,6 +262,15 @@ _WITNESS_KEYS = (
 def _start(mode: Mode, body, files: dict):
     """The start configuration of `body` over exactly the files of the spec `files`."""
     return initial_config(Program(mode, body, frozenset(files)), *load_fs_spec(files))
+
+
+def _fork_order(value):
+    """The interleaving of a fork step's JSON choice; None unless it is [int, int] pairs."""
+    if type(value) is list and all(
+        type(pair) is list and list(map(type, pair)) == [int, int] for pair in value
+    ):
+        return tuple(map(tuple, value))
+    return None
 
 
 def _choice_value(choice):
@@ -317,11 +342,14 @@ def trace_from_obj(obj) -> Trace:
         if type(entry) is not list or len(entry) != 2:
             raise SpecError(f"a step must be a [rule, choice] pair, got {entry!r:.80}")
         rule, value = entry
+        # A fork lays out the recorded interleaving alone; under any
+        # other rule, which no fork successor can match, it lays out none.
+        order = _fork_order(value) if rule == "fork" else ()
+        if order is None:
+            raise SpecError(f"a fork's choice must be [branch, atom] pairs, got {value!r:.80}")
         try:
-            successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
-        except (FileSafeError, LookupError, TypeError) as exc:
-            # A body the parser cannot produce: a nested fork, an unknown
-            # operator, or a statement where an atom belongs.
+            successors = step(config, bounds, read_mode=read_mode, truthy=truthy, order=order)
+        except FileSafeError as exc:  # a fork in a fork branch, which the parser forbids
             raise SpecError(f"step {len(replayed)} cannot be taken: {exc}") from None
         for taken in successors:
             offered = _choice_value(taken[0].choice)

@@ -27,7 +27,8 @@ Rule names, with their choice kinds where not Unique:
   read-at              safe read at an evaluated position
   seq                  split a sequence into two control entries
   fork                 one successor per branch interleaving (Interleave);
-                       with `distinct`, one per distinct laid-out sequence
+                       with `distinct`, one per distinct laid-out sequence;
+                       with `order`, that interleaving alone
   forkfor              one successor per repetition count (ForkCount)
   forkif               wrap every arm in a guarded if, then fork
   skip                 drop the head
@@ -176,6 +177,16 @@ def enumerate_interleavings(
     return out
 
 
+def interleaves(branches: list[list] | tuple, order) -> bool:
+    """Whether `order` is one of the shuffles of `enumerate_interleavings(branches)`."""
+    taken = [0] * len(branches)
+    for i, j in order:
+        if not 0 <= i < len(taken) or taken[i] != j:
+            return False
+        taken[i] += 1
+    return taken == [len(b) for b in branches]
+
+
 # ---------------------------------------------------------------------------
 # Step
 
@@ -201,6 +212,7 @@ def step(
     read_mode: ReadMode = ReadMode.CURSOR,
     truthy: bool = False,
     distinct: bool = False,
+    order: tuple[tuple[int, int], ...] | None = None,
 ) -> list[tuple[RuleInstance, Configuration]]:
     """All immediate successors of `config`, in a fixed order.
 
@@ -208,8 +220,9 @@ def step(
     guard strictness to treat any nonzero guard as true (off by default).
     `distinct` lays out each distinct fork sequence once (see
     `enumerate_interleavings`).  Only the graph search passes it, since it
-    keeps just the first label of a state anyway; the tree route and
-    trace replay need the full labeled relation.
+    keeps just the first label of a state anyway.  With `order`, a fork
+    lays out that interleaving alone, or nothing if it is not one; trace
+    replay passes the recorded order.
     """
     head, *rest = config.control
     if not isinstance(head, Ctrl):
@@ -234,8 +247,12 @@ def step(
 
         case Fork(branches):
             atom_lists = [atoms_of(b) for b in branches]
+            if order is None:
+                orders = enumerate_interleavings(atom_lists, distinct=distinct)
+            else:
+                orders = [Interleave(order)] if interleaves(atom_lists, order) else []
             out = []
-            for inter in enumerate_interleavings(atom_lists, distinct=distinct):
+            for inter in orders:
                 laid = [Ctrl(atom_lists[i][j]) for i, j in inter.order]
                 out.append(succ("fork", [*laid, *rest], choice=inter))
             return out

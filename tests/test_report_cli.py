@@ -32,6 +32,7 @@ from filesafe import (
     run_single,
     validate_trace,
 )
+from filesafe import semantics
 from filesafe.cli import main
 from filesafe.machine import Ctrl, HoleOpLeft, HoleOpRight, is_final
 from filesafe.report import (
@@ -106,6 +107,28 @@ def test_traces_round_trip_and_still_validate():
     validate_trace(restored, case.bounds())
 
 
+def test_a_fork_of_identical_branches_replays_its_one_order(tmp_path, capsys, monkeypatch):
+    # The search lays out one order per distinct sequence, 10,395 here;
+    # the full relation has 12! / 2^6 = 7,484,400.  Replay, and text
+    # `check` through it, lay out the recorded order alone.
+    source = tmp_path / "twins.wf"
+    source.write_text("fork {" + ", ".join(["skip; skip"] * 6) + "}; 1 / 0\n")
+    report = tmp_path / "report.json"
+    assert main(["check", str(source), "--mode", "whilef", "--json", str(report)]) == 1
+    obj = json.loads(report.read_text())
+    assert ["fork", [[b, a] for b in range(6) for a in range(2)]] in obj["witness"]["steps"]
+
+    def lay_out_all(*args, **kwargs):
+        raise AssertionError("replay laid out every interleaving")
+
+    monkeypatch.setattr(semantics, "enumerate_interleavings", lay_out_all)
+    witness = trace_from_obj(obj["witness"])
+    validate_trace(witness, B)
+    text = Report.from_obj(obj).render_text()
+    assert "witness (14 steps):" in text
+    assert "fork [order=(0,0)(0,1)(1,0)" in text
+
+
 def test_report_round_trips():
     samples = [
         Report("safe", states=6, normal_forms=1, witness=None, exhausted=None,
@@ -170,8 +193,9 @@ def _report(**keys):
     # An unknown tag, and a string where a node reference belongs.
     lambda: decode([{"node": "goto"}]),
     lambda: decode(_binop(left="x")),
-    # A string where an integer belongs.
+    # A string and a bool where an integer belongs.
     lambda: decode([{"node": "int", "n": "5"}]),
+    lambda: decode([{"node": "int", "n": True}]),
     # Report fields of the wrong JSON type, and a verdict the tool never writes.
     lambda: Report.from_obj(_report(bounds=[])),
     lambda: Report.from_obj(_report(flags=[])),
@@ -209,19 +233,28 @@ def _report(**keys):
     lambda: decode([INT, {"node": "ctrl", "item": 0}]),
     # A fork-if arm that is not a pair.
     lambda: decode([INT, {"node": "stmt", "atom": 0}, {"node": "forkif", "arms": [[0]]}]),
+    # References to a row of the wrong kind: an expression as a fork
+    # branch, and a statement as an operand.
+    lambda: decode([INT, {"node": "fork", "branches": [0]}]),
+    lambda: decode([INT, {"node": "stmt", "atom": 0}, {"node": "binop", "op": "+",
+                                                      "left": 1, "right": 0}]),
+    # Operators `step` cannot apply: an unknown one, and `&&` as a binop.
+    lambda: decode(_binop(op="**")),
+    lambda: decode(_binop(op="&&")),
     # Filesafe-report/1 and /2 documents.
     lambda: Report.from_obj({**_report(), "schema": "filesafe-report/1"}),
     lambda: Report.from_obj({**_report(), "schema": "filesafe-report/2"}),
 ], ids=[
     "report-keys", "missing-key", "list-node", "mode", "read-mode", "read-mode-null",
-    "extra-key", "tag", "scalar-node", "scalar-type", "bounds-list", "flags-list",
+    "extra-key", "tag", "scalar-node", "scalar-type", "int-bool", "bounds-list", "flags-list",
     "wall-time-string", "verdict-unknown", "nodes-object", "files-list",
     "steps-object", "witness-missing-key", "witness-extra-key", "truthy-int",
     "truthy-null", "forkfor-max-negative", "forkfor-max-bool", "forkfor-max-float",
     "nodes-empty", "step-keys", "step-short", "step-long", "step-string",
     "reference-out-of-range", "forward-reference",
     "negative-reference", "float-reference", "bool-reference",
-    "unknown-tag-key", "tag-of-another-kind", "arm-length", "schema-1", "schema-2",
+    "unknown-tag-key", "tag-of-another-kind", "arm-length", "branch-kind", "operand-kind",
+    "operator", "operator-logical", "schema-1", "schema-2",
 ])
 def test_malformed_documents_raise_spec_error(load):
     with pytest.raises(SpecError):
@@ -257,11 +290,16 @@ def test_trace_values_of_the_wrong_type_raise_spec_error(obj):
 
 
 def _oracle_witness(rule, choice):
-    """oracle_predicate's witness, the choice of its first `rule` step replaced by `choice`."""
+    """oracle_predicate's witness, the choice of its first `rule` step replaced.
+
+    `choice` is the new choice, or a function of the recorded one.
+    """
     case = corpus_case("oracle_predicate")
     witness = _obj(explore(case.config(), B, read_mode=case.read_mode).witness, case)
     steps = witness["steps"]
     i = next(i for i, (name, _) in enumerate(steps) if name == rule)
+    if callable(choice):
+        choice = choice(steps[i][1])
     return {**witness, "steps": [*steps[:i], [rule, choice], *steps[i + 1:]]}
 
 
@@ -279,10 +317,14 @@ def _body(*rows):
     # count or position that is not an integer.
     _oracle_witness("fork", [[0, 1], [0, 0]]),
     _oracle_witness("fork", []),
+    _oracle_witness("fork", None),
     _oracle_witness("read-nd", 99),
     _oracle_witness("forkfor", 3),
     _oracle_witness("forkfor", True),
     _oracle_witness("read-nd", "1"),
+    # A fork order of the right values in the wrong JSON types.
+    _oracle_witness("fork", lambda order: [[b, float(a)] for b, a in order]),
+    _oracle_witness("fork", lambda order: [[bool(b), a] for b, a in order]),
     # A step past the stuck end.
     _witness(steps=[*_witness()["steps"], ["open", None]]),
     # Bodies the parser cannot produce: `1 ** 1`, and a fork in a fork branch.
@@ -290,8 +332,9 @@ def _body(*rows):
     _body({"node": "skip"}, {"node": "stmt", "atom": 0}, {"node": "fork", "branches": [1]},
           {"node": "fork", "branches": [2]}),
 ], ids=[
-    "rule", "choice-on-unique", "order", "order-short", "position", "count",
-    "count-bool", "position-string", "past-the-end", "operator", "nested-fork",
+    "rule", "choice-on-unique", "order", "order-short", "order-null", "position", "count",
+    "count-bool", "position-string", "order-float", "order-bool", "past-the-end",
+    "operator", "nested-fork",
 ])
 def test_steps_not_on_offer_raise_spec_error(obj):
     with pytest.raises(SpecError):

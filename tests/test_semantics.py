@@ -38,7 +38,7 @@ from filesafe.machine import (
     is_final,
     status_of,
 )
-from filesafe.semantics import UNIQUE
+from filesafe.semantics import UNIQUE, interleaves
 from filesafe.syntax import (
     And,
     Assign,
@@ -369,6 +369,19 @@ def test_fork_enumerates_interleavings():
     assert first.control == (Ctrl(a1), Ctrl(a2), Ctrl(b1))
 
 
+def test_a_given_order_lays_out_that_interleaving_alone():
+    a1, a2 = Assign(Var("x"), IntLit(1)), Assign(Var("y"), IntLit(2))
+    b1 = Assign(Var("z"), IntLit(3))
+    start = config([Ctrl(Fork((Seq(AtomStmt(a1), AtomStmt(a2)), AtomStmt(b1)))), Ctrl(Skip())])
+    for succ in step(start, B):
+        assert step(start, B, order=succ[0].choice.order) == [succ]
+    for order in [((0, 1), (0, 0), (1, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1), (1, 0), (1, 0)),
+                  ((0, 0), (0, 1), (2, 0)), ((0, 0), (0, 1), (-1, 0)), ()]:
+        assert step(start, B, order=order) == []
+    # Any other head ignores the order.
+    assert step(config([Ctrl(Skip())]), B, order=()) == step(config([Ctrl(Skip())]), B)
+
+
 def test_single_branch_fork_is_sequential():
     fork = Fork((AtomStmt(Skip()),))
     succs = step(config([Ctrl(fork)]), B)
@@ -476,6 +489,21 @@ def test_distinct_interleavings_keep_the_first_shuffle_of_each_layout(branches):
     remaining = iter(full)
     assert all(inter in remaining for inter in distinct)  # a subsequence
     assert first_layouts(branches, distinct) == first_layouts(branches, full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fork_branches(), st.randoms(use_true_random=False))
+def test_interleaves_accepts_exactly_the_shuffles(branches, rng):
+    full = set(enumerate_interleavings(branches))
+    assert all(interleaves(branches, inter.order) for inter in full)
+    pairs = [(i, j) for i, branch in enumerate(branches) for j in range(len(branch))]
+    for _ in range(20):
+        order = tuple(rng.sample(pairs, len(pairs)))
+        assert interleaves(branches, order) == (Interleave(order) in full)
+    assert not interleaves(branches, (*pairs, (len(branches), 0)))
+    if pairs:  # an atom taken twice, and one left out
+        assert not interleaves(branches, (*pairs, pairs[-1]))
+        assert not interleaves(branches, pairs[1:])
 
 
 @pytest.mark.parametrize("copies, length, count", [
