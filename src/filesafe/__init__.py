@@ -25,8 +25,7 @@ from .machine import (
 )
 from .report import Report, SCHEMA
 from .semantics import (
-    Bounds, Choice, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance,
-    UNIQUE, Unique, enumerate_interleavings, eval_phi, step,
+    Bounds, ReadMode, RuleInstance, enumerate_interleavings, eval_phi, step,
 )
 from .syntax import (
     Mode, Program, atoms_of, make_program, parse_program, pretty_print,
@@ -35,18 +34,16 @@ from .syntax import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bounds", "CLOSED", "Choice", "Configuration", "EXHAUSTED_STATES",
-    "EXHAUSTED_STEPS", "FileSafeError", "FileStore", "ForkCount",
-    "Interleave", "InvalidTraceError", "MissingFileError", "Mode",
-    "ModeError", "NestedForkError", "OPEN", "OUTCOME_CUTOFF",
-    "OUTCOME_FINAL", "OUTCOME_STUCK", "OraclePos", "ParseError", "Program",
-    "ReadMode", "Report", "RuleInstance", "SCHEMA", "Safe",
-    "SearchBoundError", "SpecError", "Trace", "UNIQUE", "Unique", "Unknown",
-    "UnknownFileError", "Unsafe", "Verdict", "atoms_of", "canonical_key",
-    "embed_trace", "enumerate_interleavings", "eval_phi",
-    "explore", "initial_config", "is_final", "load_fs_spec",
-    "make_configuration", "make_program", "normal_form_traces",
-    "oracle_explore", "parse_program", "pretty_print",
+    "Bounds", "CLOSED", "Configuration", "EXHAUSTED_STATES",
+    "EXHAUSTED_STEPS", "FileSafeError", "FileStore", "InvalidTraceError",
+    "MissingFileError", "Mode", "ModeError", "NestedForkError", "OPEN",
+    "OUTCOME_CUTOFF", "OUTCOME_FINAL", "OUTCOME_STUCK", "ParseError",
+    "Program", "ReadMode", "Report", "RuleInstance", "SCHEMA", "Safe",
+    "SearchBoundError", "SpecError", "Trace", "Unknown", "UnknownFileError",
+    "Unsafe", "Verdict", "atoms_of", "canonical_key", "embed_trace",
+    "enumerate_interleavings", "eval_phi", "explore", "initial_config",
+    "is_final", "load_fs_spec", "make_configuration", "make_program",
+    "normal_form_traces", "oracle_explore", "parse_program", "pretty_print",
     "reachable_normal_forms", "relax_program", "run_single", "step",
     "validate_trace",
 ]

@@ -26,9 +26,7 @@ from operator import itemgetter
 
 from .errors import InvalidTraceError, ModeError, SearchBoundError
 from .machine import Configuration, canonical_key, ctrl, is_final, make_configuration
-from .semantics import (
-    Bounds, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance, step,
-)
+from .semantics import Bounds, ReadMode, RuleInstance, step, take
 from .syntax import (
     And, BinOp, IntLit, Mode, Or, Program, ReadAt, ReadND, Seq, make_program, rebuild,
 )
@@ -323,9 +321,9 @@ def validate_trace(
     """Check that every step of `trace` is a real successor, else raise."""
     config = trace.start
     for i, (rule_instance, after) in enumerate(trace.steps):
-        order = getattr(rule_instance.choice, "order", ())  # a fork lays out this one alone
-        successors = step(config, bounds, read_mode=read_mode, truthy=truthy, order=order)
-        if (rule_instance, after) not in successors:
+        taken = take(config, rule_instance.rule, rule_instance.choice, bounds,
+                     read_mode=read_mode, truthy=truthy)
+        if taken != (rule_instance, after):
             raise InvalidTraceError(
                 f"step {i} ({rule_instance.rule}) is not a successor of its predecessor"
             )
@@ -385,9 +383,7 @@ def embed_trace(trace: Trace, relaxed: Program) -> Trace:
     if relaxed.mode is not Mode.WHILEF:
         raise ModeError("embedding targets a whilef-dialect program")
     choices = deque(_safe_trace_choices(trace))
-    fork_max = max(
-        [c.k for c in choices if isinstance(c, ForkCount)], default=0,
-    )
+    fork_max = max([c.choice for c in choices if c.rule == "forkfor"], default=0)
     bounds = Bounds(
         forkfor_max=fork_max,
         max_steps_per_path=len(trace.steps) + 4,
@@ -421,33 +417,33 @@ def _replay(successors, choices):
     if not choices:
         raise InvalidTraceError(f"no recorded choice left for {rule}")
     wanted = choices.popleft()
-    if rule == "read-nd" and not isinstance(wanted, OraclePos):
+    if rule == "read-nd" and wanted.rule != rule:
         raise InvalidTraceError("recorded choice is not a read position")
     for entry in successors:
-        if entry[0].choice == wanted:
+        if entry[0] is wanted:
             return entry
-    raise InvalidTraceError(f"recorded choice {wanted!r} is not available for {rule}")
+    raise InvalidTraceError(f"recorded choice {wanted.choice!r} is not available for {rule}")
 
 
 def _safe_trace_choices(trace: Trace):
-    """The ordered choices a safe trace made, as the relaxed program needs them.
+    """The rule instances of a safe trace's choices, as the relaxed program needs them.
 
-    Fork interleavings and forkfor counts transfer index-for-index, and
-    every applied read (literal position at the head) becomes an oracle
-    position choice.  Positions past the end of the file read the same
+    Fork and forkfor steps transfer as they are, and every applied read
+    (literal position at the head) becomes an oracle read at that
+    position.  Positions past the end of the file read the same
     end marker as the end position itself, and only the latter is on
     offer from the oracle, so they are folded together.
     """
     out = []
     config = trace.start
     for rule_instance, after in trace.steps:
-        if isinstance(rule_instance.choice, (Interleave, ForkCount)):
-            out.append(rule_instance.choice)
+        if rule_instance.rule in ("fork", "forkfor"):
+            out.append(rule_instance)
         elif rule_instance.rule == "read-at":
             head = config.control[0]
             atom = getattr(head, "item", None)
             if isinstance(atom, ReadAt) and isinstance(atom.pos, IntLit):
                 end = len(config.store.contents(atom.file))
-                out.append(OraclePos(min(atom.pos.n, end)))
+                out.append(RuleInstance("read-nd", min(atom.pos.n, end)))
         config = after
     return out

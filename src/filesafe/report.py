@@ -21,10 +21,7 @@ from .errors import FileSafeError, SpecError
 from .machine import (
     PLUG, Ctrl, HoleIf, Unit, Value, initial_config, load_fs_spec,
 )
-from .semantics import (
-    _OPS, Bounds, ForkCount, Interleave, OraclePos, ReadMode, RuleInstance, Unique,
-    step,
-)
+from .semantics import _OPS, Bounds, ReadMode, RuleInstance, take
 from .syntax import (
     And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
     Open, Close, Or, Program, ReadAt, ReadND, Seq, Skip, Var, While, format_int,
@@ -264,22 +261,15 @@ def _start(mode: Mode, body, files: dict):
     return initial_config(Program(mode, body, frozenset(files)), *load_fs_spec(files))
 
 
-def _fork_order(value):
-    """The interleaving of a fork step's JSON choice; None unless it is [int, int] pairs."""
-    if type(value) is list and all(
+def _choice(rule, value):
+    """The choice of a step from its JSON value: null, an int, or a fork's [branch, atom] pairs."""
+    if value is None or type(value) is int:
+        return value
+    if rule == "fork" and type(value) is list and all(
         type(pair) is list and list(map(type, pair)) == [int, int] for pair in value
     ):
         return tuple(map(tuple, value))
-    return None
-
-
-def _choice_value(choice):
-    """The JSON value of a step's choice."""
-    if type(choice) is Interleave:
-        return [list(pair) for pair in choice.order]
-    if type(choice) is Unique:
-        return None
-    return choice.k if type(choice) is ForkCount else choice.n
+    raise SpecError(f"a {rule!r:.80} step has no choice {value!r:.80}")
 
 
 def trace_to_obj(trace: Trace, bounds: Bounds, *, read_mode: ReadMode, truthy: bool) -> dict:
@@ -305,9 +295,10 @@ def trace_to_obj(trace: Trace, bounds: Bounds, *, read_mode: ReadMode, truthy: b
         "forkfor_max": bounds.forkfor_max,
         "nodes": encode(body),
         "files": files,
-        "steps": [
-            [rule_instance.rule, _choice_value(rule_instance.choice)]
-            for rule_instance, _ in trace.steps
+        "steps": [  # a fork's order as a list of lists, as JSON reads it back
+            [label.rule, list(map(list, label.choice)) if type(label.choice) is tuple
+             else label.choice]
+            for label, _ in trace.steps
         ],
         "outcome": trace.outcome,
     }
@@ -341,24 +332,15 @@ def trace_from_obj(obj) -> Trace:
     for entry in _check(steps, list, "steps"):
         if type(entry) is not list or len(entry) != 2:
             raise SpecError(f"a step must be a [rule, choice] pair, got {entry!r:.80}")
-        rule, value = entry
-        # A fork lays out the recorded interleaving alone; under any
-        # other rule, which no fork successor can match, it lays out none.
-        order = _fork_order(value) if rule == "fork" else ()
-        if order is None:
-            raise SpecError(f"a fork's choice must be [branch, atom] pairs, got {value!r:.80}")
+        rule, choice = entry[0], _choice(*entry)
         try:
-            successors = step(config, bounds, read_mode=read_mode, truthy=truthy, order=order)
+            taken = take(config, rule, choice, bounds, read_mode=read_mode, truthy=truthy)
         except FileSafeError as exc:  # a fork in a fork branch, which the parser forbids
             raise SpecError(f"step {len(replayed)} cannot be taken: {exc}") from None
-        for taken in successors:
-            offered = _choice_value(taken[0].choice)
-            if taken[0].rule == rule and offered == value and type(offered) is type(value):
-                replayed.append(taken)
-                config = taken[1]
-                break
-        else:
+        if taken is None:
             raise SpecError(f"step {len(replayed)} {entry!r:.80} is not on offer")
+        replayed.append(taken)
+        config = taken[1]
     return Trace(start=start, steps=tuple(replayed), outcome=outcome)
 
 
@@ -413,16 +395,15 @@ def summarize_control(control, texts=None) -> str:
     return " :: ".join(parts)
 
 
-def format_choice(choice) -> str:
-    if isinstance(choice, Unique):
+def format_choice(rule_instance: RuleInstance) -> str:
+    choice = rule_instance.choice
+    if choice is None:
         return "-"
-    if isinstance(choice, Interleave):
-        return "order=" + "".join(f"({b},{a})" for b, a in choice.order)
-    if isinstance(choice, ForkCount):
-        return f"k={choice.k}"
-    if isinstance(choice, OraclePos):
-        return f"n={choice.n}"
-    raise TypeError(f"not a choice: {choice!r}")
+    if rule_instance.rule == "fork":
+        return "order=" + "".join(f"({b},{a})" for b, a in choice)
+    if rule_instance.rule == "forkfor":
+        return f"k={choice}"
+    return f"n={choice}"
 
 
 def format_step(rule_instance: RuleInstance, config, texts=None) -> str:
@@ -430,7 +411,7 @@ def format_step(rule_instance: RuleInstance, config, texts=None) -> str:
     env_text = ", ".join(f"{n}={format_int(v)}" for n, v in config.env)
     status_text = ", ".join(f"{n}={s}" for n, s in config.status)
     return (
-        f"{rule_instance.rule} [{format_choice(rule_instance.choice)}] "
+        f"{rule_instance.rule} [{format_choice(rule_instance)}] "
         f"=> {summarize_control(config.control, texts=texts)} "
         f"| env={{{env_text}}} | files={{{status_text}}}"
     )

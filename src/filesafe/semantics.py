@@ -7,7 +7,7 @@ the fork family and the oracle read are the only sources of multiple
 successors.  An empty successor list together with a non-final
 classification is how stuckness shows up; nothing raises for it.
 
-Rule names, with their choice kinds where not Unique:
+Rule names, with their choices where not None:
 
   lookup               variable to its bound value
   op-freeze-left       start evaluating the left operand of a binop
@@ -21,15 +21,15 @@ Rule names, with their choice kinds where not Unique:
   if-true / if-false   take a branch on guard exactly 1 / exactly 0
   while-unroll         one conditional unrolling
   open / close         flip the file status, open resets the cursor
-  read-nd              whilef read; cursor mode advances the cursor
-                       (Unique), oracle mode enumerates every position
-                       (OraclePos)
+  read-nd              whilef read; cursor mode advances the cursor,
+                       oracle mode enumerates every position (the int)
   read-at              safe read at an evaluated position
   seq                  split a sequence into two control entries
-  fork                 one successor per branch interleaving (Interleave);
-                       with `distinct`, one per distinct laid-out sequence;
-                       with `order`, that interleaving alone
-  forkfor              one successor per repetition count (ForkCount)
+  fork                 one successor per branch interleaving (its
+                       (branch, atom) pairs); with `distinct`, one per
+                       distinct laid-out sequence; with `order`, that
+                       interleaving alone
+  forkfor              one successor per repetition count (the int)
   forkif               wrap every arm in a guarded if, then fork
   skip                 drop the head
 """
@@ -80,38 +80,17 @@ class Bounds:
 
 
 # ---------------------------------------------------------------------------
-# Choices
-
-class Unique(Interned):
-    """The only possible outcome of a deterministic rule."""
-
-
-class Interleave(Interned):
-    """A chosen branch interleaving: (branch index, atom index) pairs."""
-
-    order: tuple[tuple[int, int], ...]
-
-
-class ForkCount(Interned):
-    """A chosen forkfor repetition count."""
-
-    k: int
-
-
-class OraclePos(Interned):
-    """A chosen oracle read position."""
-
-    n: int
-
-
-Choice = Unique | Interleave | ForkCount | OraclePos
-
-UNIQUE = Unique()
-
+# Rule instances
 
 class RuleInstance(Interned):
+    """A rule and its nondeterministic choice, as a witness stores it.
+
+    The choice is None for a deterministic rule, the (branch, atom) pairs
+    of a fork interleaving, a forkfor count or an oracle read position.
+    """
+
     rule: str
-    choice: Choice = UNIQUE
+    choice: tuple[tuple[int, int], ...] | int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +109,7 @@ def eval_phi(store: FileStore, file: str, n: int) -> int:
 
 def enumerate_interleavings(
     branches: list[list] | tuple, *, distinct: bool = False,
-) -> list[Interleave]:
+) -> list[tuple[tuple[int, int], ...]]:
     """Every order-preserving shuffle of the branches' atom lists.
 
     Shuffles are sequences of (branch, atom) index pairs, lexicographic
@@ -149,7 +128,7 @@ def enumerate_interleavings(
     if distinct:
         for i, branch in enumerate(branches):
             twin[i] = next((j for j in reversed(range(i)) if branches[j] == branch), -1)
-    out: list[Interleave] = [] if total else [Interleave(())]  # the one empty shuffle
+    out: list[tuple[tuple[int, int], ...]] = [] if total else [()]  # the one empty shuffle
     order: list[tuple[int, int]] = []
     taken = [0] * len(sizes)
     # A depth-first search on an explicit stack, so that a long branch
@@ -168,7 +147,7 @@ def enumerate_interleavings(
             if len(order) < total:
                 tries.append(0)
                 continue
-            out.append(Interleave(tuple(order)))
+            out.append(tuple(order))
         else:
             tries.pop()
             if not order:
@@ -221,14 +200,14 @@ def step(
     `distinct` lays out each distinct fork sequence once (see
     `enumerate_interleavings`).  Only the graph search passes it, since it
     keeps just the first label of a state anyway.  With `order`, a fork
-    lays out that interleaving alone, or nothing if it is not one; trace
-    replay passes the recorded order.
+    lays out that interleaving alone, or nothing if it is not one; only
+    `take` passes it.
     """
     head, *rest = config.control
     if not isinstance(head, Ctrl):
         return []  # a value, unit, or a hole nothing will ever fill
 
-    def succ(rule, control, env=None, status=None, store=None, choice=UNIQUE):
+    def succ(rule, control, env=None, status=None, store=None, choice=None):
         return (
             RuleInstance(rule, choice),
             Configuration(
@@ -250,17 +229,17 @@ def step(
             if order is None:
                 orders = enumerate_interleavings(atom_lists, distinct=distinct)
             else:
-                orders = [Interleave(order)] if interleaves(atom_lists, order) else []
-            out = []
-            for inter in orders:
-                laid = [Ctrl(atom_lists[i][j]) for i, j in inter.order]
-                out.append(succ("fork", [*laid, *rest], choice=inter))
-            return out
+                orders = [order] if interleaves(atom_lists, order) else []
+            frames = [[Ctrl(atom) for atom in atoms] for atoms in atom_lists]
+            return [
+                succ("fork", [*[frames[i][j] for i, j in inter], *rest], choice=inter)
+                for inter in orders
+            ]
 
         case ForkFor(body):
             return [
                 succ("forkfor", [Ctrl(Fork((body,) * k) if k else Skip()), *rest],
-                     choice=ForkCount(k))
+                     choice=k)
                 for k in range(bounds.forkfor_max + 1)
             ]
 
@@ -361,7 +340,7 @@ def step(
             for n in range(len(config.store.contents(f)) + 1):
                 env = env_bind(config.env, pointer, n)
                 env = env_bind(env, target, eval_phi(config.store, f, n))
-                out.append(succ("read-nd", rest, env=env, choice=OraclePos(n)))
+                out.append(succ("read-nd", rest, env=env, choice=n))
             return out
 
         case ReadAt(target, f, pos):
@@ -381,3 +360,26 @@ def step(
             return [succ("skip", rest)]
 
     return []
+
+
+def take(
+    config: Configuration,
+    rule: str,
+    choice,
+    bounds: Bounds,
+    *,
+    read_mode: ReadMode,
+    truthy: bool,
+) -> tuple[RuleInstance, Configuration] | None:
+    """The (label, successor) of `config` by `rule` under `choice`, or None.
+
+    This is how a recorded step is replayed.  A fork lays out the
+    interleaving `choice` alone, and under any other rule, which no fork
+    successor can match, none: for `k` identical branches the full
+    relation has `k!` times the orders the graph search lays out.
+    """
+    order = choice if rule == "fork" and type(choice) is tuple else ()
+    for label, after in step(config, bounds, read_mode=read_mode, truthy=truthy, order=order):
+        if label.rule == rule and label.choice == choice:
+            return label, after
+    return None

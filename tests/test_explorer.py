@@ -490,7 +490,7 @@ def test_pruned_fork_witness_replays_on_the_full_relation():
     assert isinstance(verdict, Unsafe)
     assert len(verdict.witness.steps) == 5
     fork_labels = [
-        format_choice(inst.choice) for inst, _ in verdict.witness.steps if inst.rule == "fork"
+        format_choice(inst) for inst, _ in verdict.witness.steps if inst.rule == "fork"
     ]
     assert fork_labels == ["order=(0,0)(1,0)"]
     validate_trace(verdict.witness, bounds)

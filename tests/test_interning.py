@@ -14,7 +14,7 @@ import random
 import pytest
 
 from filesafe import (
-    UNIQUE, Mode, ReadMode, RuleInstance, initial_config, run_single, step,
+    Mode, ReadMode, RuleInstance, initial_config, run_single, step,
 )
 from filesafe.cli import main
 from filesafe.machine import (
@@ -22,16 +22,15 @@ from filesafe.machine import (
     Unit, Value, make_configuration,
 )
 from filesafe.report import _TAGS, decode, encode, trace_from_obj, trace_to_obj
-from filesafe.semantics import Bounds, ForkCount, Interleave, OraclePos, Unique
+from filesafe.semantics import Bounds
 from filesafe.syntax import _INTERNED, Interned
 
 from generators import random_program, random_safe_config, random_store
 
 B = Bounds(forkfor_max=2)
 FRAMES = {Ctrl, HoleOpRight, HoleOpLeft, HoleAssign, HoleIf, HoleRead, Unit, Value}
-CHOICES = {Unique, Interleave, ForkCount, OraclePos}
 INTERNED = sorted(
-    {*_TAGS, *FRAMES, *CHOICES, Configuration, FileStore, RuleInstance},
+    {*_TAGS, *FRAMES, Configuration, FileStore, RuleInstance},
     key=lambda cls: cls.__name__,
 )
 
@@ -112,8 +111,8 @@ def test_equal_fields_build_the_same_object():
 
 
 def test_keywords_and_defaults_build_the_same_object():
-    assert RuleInstance("seq") is RuleInstance("seq", UNIQUE)
-    assert RuleInstance(rule="seq", choice=UNIQUE) is RuleInstance("seq", UNIQUE)
+    assert RuleInstance("seq") is RuleInstance("seq", None)
+    assert RuleInstance(rule="fork", choice=((0, 0),)) is RuleInstance("fork", ((0, 0),))
 
 
 def test_copies_and_unpickled_values_are_the_original():

@@ -13,17 +13,13 @@ import pytest
 
 from filesafe import (
     Bounds,
-    ForkCount,
-    Interleave,
     Mode,
-    OraclePos,
     ReadMode,
     Report,
     RuleInstance,
     SCHEMA,
     SpecError,
     Trace,
-    UNIQUE,
     Unsafe,
     embed_trace,
     explore,
@@ -77,8 +73,9 @@ def test_choice_round_trips():
             trace = run_single(case.config(), case.bounds(), seed=seed, read_mode=case.read_mode)
             restored = trace_from_obj(_obj(trace, case))
             assert restored == trace
-            seen.update(type(rule_instance.choice) for rule_instance, _ in restored.steps)
-    assert seen == {type(UNIQUE), Interleave, ForkCount, OraclePos}
+            seen.update(format_choice(rule_instance).partition("=")[0]
+                        for rule_instance, _ in restored.steps)
+    assert seen == {"-", "order", "k", "n"}
 
 
 def test_configs_along_traces_round_trip():
@@ -350,10 +347,10 @@ def test_frame_and_choice_formatting():
     assert format_frame(HoleOpRight("*", sum_)) == "_ * (b + c)"
     assert format_frame(HoleOpRight("+", sum_)) == "_ + (b + c)"
     assert format_frame(HoleOpRight("+", BinOp("*", Var("b"), Var("c")))) == "_ + b * c"
-    assert format_choice(UNIQUE) == "-"
-    assert format_choice(ForkCount(2)) == "k=2"
-    assert format_choice(OraclePos(1)) == "n=1"
-    assert format_choice(Interleave(((0, 0), (1, 0)))) == "order=(0,0)(1,0)"
+    assert format_choice(RuleInstance("read-nd")) == "-"
+    assert format_choice(RuleInstance("forkfor", 2)) == "k=2"
+    assert format_choice(RuleInstance("read-nd", 1)) == "n=1"
+    assert format_choice(RuleInstance("fork", ((0, 0), (1, 0)))) == "order=(0,0)(1,0)"
 
 
 def test_control_summaries_elide_long_stacks():

@@ -28,7 +28,6 @@ from filesafe.machine import (
     Ctrl, HoleAssign, HoleIf, HoleOpLeft, HoleOpRight, HoleRead, Unit, Value,
 )
 from filesafe.report import _TAGS, summarize_control, trace_from_obj, trace_to_obj
-from filesafe.semantics import ForkCount, Interleave, OraclePos, Unique
 from filesafe.syntax import Assign
 
 from conftest import CORPUS
@@ -209,14 +208,15 @@ FRAME_TAGS = {
     HoleAssign: "hole-assign", HoleIf: "hole-if", HoleRead: "hole-read",
     Unit: "unit", Value: "value",
 }
+# A choice's tag and its one key, by the rule that made it; a null choice
+# is tagged "unique" and has no key.
 CHOICE_TAGS = {
-    Unique: "unique", Interleave: "interleave", ForkCount: "fork-count",
-    OraclePos: "oracle-pos",
+    "fork": ("interleave", "order"), "forkfor": ("fork-count", "k"),
+    "read-nd": ("oracle-pos", "n"),
 }
 TAGGED = {
     **{cls: ("node", tag) for cls, tag in _TAGS.items()},
     **{cls: ("frame", tag) for cls, tag in FRAME_TAGS.items()},
-    **{cls: ("choice", tag) for cls, tag in CHOICE_TAGS.items()},
 }
 
 
@@ -232,6 +232,13 @@ def v1_value(x):
         key = {"then_body": "then", "else_body": "else"}.get(f.name, f.name)
         obj[key] = value.name if type(x) is Assign and key == "target" else v1_value(value)
     return obj
+
+
+def v1_choice(rule_instance) -> dict:
+    if rule_instance.choice is None:
+        return {"choice": "unique"}
+    tag, key = CHOICE_TAGS[rule_instance.rule]
+    return {"choice": tag, key: v1_value(rule_instance.choice)}
 
 
 def v1_config(config) -> dict:
@@ -255,7 +262,7 @@ def v1_trace(obj) -> dict:
         "steps": [
             {
                 "rule": rule_instance.rule,
-                "choice": v1_value(rule_instance.choice),
+                "choice": v1_choice(rule_instance),
                 "control_summary": summarize_control(config.control),
                 "config": v1_config(config),
             }
@@ -298,6 +305,7 @@ def test_golden_traces_cover_every_tag():
             for rule_instance, config in ((None, trace.start), *trace.steps):
                 seen.update(TAGGED[type(frame)] for frame in config.control)
                 if rule_instance is not None:
-                    seen.add(TAGGED[type(rule_instance.choice)])
+                    seen.add(("choice", v1_choice(rule_instance)["choice"]))
     assert seen == TAGS
-    assert TAGS == set(TAGGED.values())
+    choice_tags = {"unique", *(tag for tag, _ in CHOICE_TAGS.values())}
+    assert TAGS == set(TAGGED.values()) | {("choice", tag) for tag in choice_tags}

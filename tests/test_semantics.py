@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from filesafe import (
     Bounds,
-    ForkCount,
-    Interleave,
     Mode,
-    OraclePos,
     ReadMode,
     UnknownFileError,
     canonical_key,
@@ -38,7 +35,7 @@ from filesafe.machine import (
     is_final,
     status_of,
 )
-from filesafe.semantics import UNIQUE, interleaves
+from filesafe.semantics import interleaves
 from filesafe.syntax import (
     And,
     Assign,
@@ -105,7 +102,7 @@ def test_read_function_with_end_marker():
 
 def test_op_apply_on_literals():
     inst, c = only(step(config([Ctrl(BinOp("+", IntLit(2), IntLit(3)))]), B))
-    assert inst.rule == "op-apply" and inst.choice == UNIQUE
+    assert inst.rule == "op-apply" and inst.choice is None
     assert c.control == (Value(5),) and is_final(c)
 
 
@@ -279,7 +276,7 @@ def test_close_of_a_closed_file_is_stuck():
 def test_cursor_read_binds_value_and_position():
     c = config([Ctrl(ReadND("x", "p", "f"))], status={"f": OPEN}, store=F56)
     inst, after = only(step(c, B))
-    assert inst.rule == "read-nd" and inst.choice == UNIQUE
+    assert inst.rule == "read-nd" and inst.choice is None
     assert env_get(after, "x") == 5 and env_get(after, "p") == 0
     assert after.store.cursor("f") == 1
 
@@ -299,9 +296,9 @@ def test_oracle_read_offers_every_position():
     store = FileStore.of({"f": (10, 20, 30)})
     c = config([Ctrl(ReadND("x", "p", "f"))], status={"f": OPEN}, store=store)
     succs = step(c, B, read_mode=ReadMode.ORACLE)
-    got = sorted((inst.choice.n, env_get(after, "p"), env_get(after, "x")) for inst, after in succs)
+    got = sorted((inst.choice, env_get(after, "p"), env_get(after, "x")) for inst, after in succs)
     assert got == [(0, 0, 10), (1, 1, 20), (2, 2, 30), (3, 3, 0)]
-    assert all(isinstance(inst.choice, OraclePos) for inst, _ in succs)
+    assert all(inst.rule == "read-nd" and type(inst.choice) is int for inst, _ in succs)
     assert all(after.store.cursor("f") == 0 for _, after in succs)
 
 
@@ -363,7 +360,7 @@ def test_fork_enumerates_interleavings():
     fork = Fork((Seq(AtomStmt(a1), AtomStmt(a2)), AtomStmt(b1)))
     succs = step(config([Ctrl(fork)]), B)
     assert [inst.rule for inst, _ in succs] == ["fork"] * 3
-    orders = [tuple(i for i, _ in inst.choice.order) for inst, _ in succs]
+    orders = [tuple(i for i, _ in inst.choice) for inst, _ in succs]
     assert orders == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     first = succs[0][1]
     assert first.control == (Ctrl(a1), Ctrl(a2), Ctrl(b1))
@@ -374,7 +371,7 @@ def test_a_given_order_lays_out_that_interleaving_alone():
     b1 = Assign(Var("z"), IntLit(3))
     start = config([Ctrl(Fork((Seq(AtomStmt(a1), AtomStmt(a2)), AtomStmt(b1)))), Ctrl(Skip())])
     for succ in step(start, B):
-        assert step(start, B, order=succ[0].choice.order) == [succ]
+        assert step(start, B, order=succ[0].choice) == [succ]
     for order in [((0, 1), (0, 0), (1, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1), (1, 0), (1, 0)),
                   ((0, 0), (0, 1), (2, 0)), ((0, 0), (0, 1), (-1, 0)), ()]:
         assert step(start, B, order=order) == []
@@ -392,7 +389,7 @@ def test_single_branch_fork_is_sequential():
 def test_forkfor_offers_counts_up_to_the_bound():
     body = AtomStmt(Assign(Var("x"), IntLit(1)))
     succs = step(config([Ctrl(ForkFor(body))]), B)
-    assert [inst.choice for inst, _ in succs] == [ForkCount(0), ForkCount(1), ForkCount(2)]
+    assert [inst.choice for inst, _ in succs] == [0, 1, 2]
     zero, one, two = (after for _, after in succs)
     assert zero.control == (Ctrl(Skip()),)
     assert one.control == (Ctrl(Fork((body,))),)
@@ -402,14 +399,14 @@ def test_forkfor_offers_counts_up_to_the_bound():
 def test_forkfor_respects_the_bound():
     body = AtomStmt(Skip())
     succs = step(config([Ctrl(ForkFor(body))]), Bounds(forkfor_max=5))
-    assert [inst.choice.k for inst, _ in succs] == [0, 1, 2, 3, 4, 5]
+    assert [inst.choice for inst, _ in succs] == [0, 1, 2, 3, 4, 5]
 
 
 def test_forkif_wraps_arms_in_guarded_conditionals():
     arms = ((Var("a"), AtomStmt(Assign(Var("x"), IntLit(5)))),
             (IntLit(0), AtomStmt(Skip())))
     inst, after = only(step(config([Ctrl(ForkIf(arms))]), B))
-    assert inst.rule == "forkif" and inst.choice == UNIQUE
+    assert inst.rule == "forkif" and inst.choice is None
     inner = after.control[0].item
     assert isinstance(inner, Fork) and len(inner.branches) == 2
     assert inner.branches[0] == AtomStmt(If(Var("a"), AtomStmt(Assign(Var("x"), IntLit(5))), Skip()))
@@ -432,7 +429,7 @@ def test_interleaving_examples():
     a = [[IntLit(1), IntLit(2)], [IntLit(3)]]
     out = enumerate_interleavings(a)
     assert len(out) == 3
-    assert [tuple(i for i, _ in inter.order) for inter in out] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert [tuple(i for i, _ in inter) for inter in out] == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert len(enumerate_interleavings([[IntLit(1)]])) == 1
     assert len(enumerate_interleavings([[IntLit(1)], [IntLit(2)], [IntLit(3)]])) == 6
 
@@ -440,7 +437,7 @@ def test_interleaving_examples():
 def test_interleavings_preserve_branch_order():
     out = enumerate_interleavings([[IntLit(1), IntLit(2), IntLit(3)], [IntLit(4)]])
     for inter in out:
-        own = [j for i, j in inter.order if i == 0]
+        own = [j for i, j in inter if i == 0]
         assert own == sorted(own)
 
 
@@ -465,7 +462,7 @@ def first_layouts(branches, inters):
     """Laid-out atom sequence -> its first shuffle, in first-occurrence order."""
     firsts = {}
     for inter in inters:
-        firsts.setdefault(tuple(branches[i][j] for i, j in inter.order), inter)
+        firsts.setdefault(tuple(branches[i][j] for i, j in inter), inter)
     return list(firsts.items())
 
 
@@ -495,11 +492,11 @@ def test_distinct_interleavings_keep_the_first_shuffle_of_each_layout(branches):
 @given(fork_branches(), st.randoms(use_true_random=False))
 def test_interleaves_accepts_exactly_the_shuffles(branches, rng):
     full = set(enumerate_interleavings(branches))
-    assert all(interleaves(branches, inter.order) for inter in full)
+    assert all(interleaves(branches, inter) for inter in full)
     pairs = [(i, j) for i, branch in enumerate(branches) for j in range(len(branch))]
     for _ in range(20):
         order = tuple(rng.sample(pairs, len(pairs)))
-        assert interleaves(branches, order) == (Interleave(order) in full)
+        assert interleaves(branches, order) == (order in full)
     assert not interleaves(branches, (*pairs, (len(branches), 0)))
     if pairs:  # an atom taken twice, and one left out
         assert not interleaves(branches, (*pairs, pairs[-1]))
