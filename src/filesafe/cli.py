@@ -13,6 +13,7 @@ exit 64, errors writing an output file exit 74 and internal errors exit
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -66,7 +67,13 @@ def _add_common(sub):
                      help="relax guards: any nonzero value counts as true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by later ones.
+
+    Parsing leaves the parser as it was, so one `main` call sees no option
+    of an earlier one, and an import builds nothing.
+    """
     parser = _ArgumentParser(prog="filesafe")
     subs = parser.add_subparsers(
         dest="command", required=True, parser_class=_ArgumentParser,

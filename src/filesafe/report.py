@@ -17,7 +17,7 @@ from functools import partial
 from itertools import cycle
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import FileSafeError, SpecError
+from .errors import SpecError
 from .machine import (
     PLUG, Ctrl, HoleIf, Unit, Value, initial_config, load_fs_spec,
 )
@@ -56,6 +56,7 @@ _TAGS = {
 }
 _RENAMED = {"then_body": "then", "else_body": "else"}
 _SPINES = frozenset({Seq, BinOp, And, Or})  # the classes `_Table.add` walks in a loop
+_FORKS = frozenset({Fork, ForkFor, ForkIf})  # a row of one may not hold another
 
 
 class _Table:
@@ -115,9 +116,11 @@ def decode(rows) -> list:
     of an earlier row, so equal rows decode to one shared node.  Raises
     SpecError for anything `encode` cannot have written: a non-object
     row, an unknown tag, a missing or extra key, a value of the wrong
-    JSON type, a bad reference, or an unknown operator.
+    JSON type, a bad reference, an unknown operator, or a fork-family
+    statement that holds another, which the parser forbids.
     """
     objects = []
+    forky = set()  # the nodes that are or hold a fork-family statement
     for row in _check(rows, list, "nodes"):
         obj = None
         if type(row) is dict:
@@ -129,8 +132,29 @@ def decode(rows) -> list:
                 pass
         if obj is None:
             raise SpecError(_diagnose(row))
+        holds_fork = bool(forky) and _holds(obj, forky)
+        if holds_fork and type(obj) in _FORKS:
+            raise SpecError(f"row {len(objects)}: a {row['node']} may not hold another fork")
+        if holds_fork or type(obj) in _FORKS:
+            forky.add(obj)
         objects.append(obj)
     return objects
+
+
+def _holds(node, nodes) -> bool:
+    """Whether a field of `node`, or an item of a tuple field, is one of `nodes`.
+
+    Each row's children are decoded before it, so one pass in row order
+    marks every node that holds a fork, without walking a shared subtree
+    once per path to it.
+    """
+    values = [getattr(node, name) for name in node.__match_args__]
+    for value in values:  # grows by the items of tuple fields
+        if type(value) is tuple:
+            values.extend(value)
+        elif value in nodes:
+            return True
+    return False
 
 
 def _diagnose(row) -> str:
@@ -332,11 +356,9 @@ def trace_from_obj(obj) -> Trace:
     for entry in _check(steps, list, "steps"):
         if type(entry) is not list or len(entry) != 2:
             raise SpecError(f"a step must be a [rule, choice] pair, got {entry!r:.80}")
-        rule, choice = entry[0], _choice(*entry)
-        try:
-            taken = take(config, rule, choice, bounds, read_mode=read_mode, truthy=truthy)
-        except FileSafeError as exc:  # a fork in a fork branch, which the parser forbids
-            raise SpecError(f"step {len(replayed)} cannot be taken: {exc}") from None
+        rule, value = entry
+        taken = take(config, rule, _choice(rule, value), bounds,
+                     read_mode=read_mode, truthy=truthy)
         if taken is None:
             raise SpecError(f"step {len(replayed)} {entry!r:.80} is not on offer")
         replayed.append(taken)

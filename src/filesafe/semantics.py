@@ -365,7 +365,7 @@ def step(
 def take(
     config: Configuration,
     rule: str,
-    choice,
+    choice: tuple[tuple[int, int], ...] | int | None,
     bounds: Bounds,
     *,
     read_mode: ReadMode,

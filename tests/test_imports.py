@@ -1,8 +1,10 @@
 """Every module-level import and private name in the package is used.
 
 Also: no hash-consed class restates, by a decorator, the dataclass rule
-that its base `syntax.Interned` applies, and no `json.dumps`/`json.dump`
-call passes `indent=`, which sends it to the pure-Python encoder.
+that its base `syntax.Interned` applies, no `json.dumps`/`json.dump`
+call passes `indent=`, which sends it to the pure-Python encoder, and
+only `semantics.take` passes `order=` to `step`, so that every replay of
+a recorded fork lays out the recorded order alone in one place.
 """
 
 import ast
@@ -68,6 +70,20 @@ def indented_json_calls(source: str) -> list[int]:
     ]
 
 
+def order_passing_callers(source: str) -> list[str]:
+    """Functions in `source` that call `step` with `order=`, by name; `<module>` outside any."""
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and any(k.arg == "order" for k in node.keywords)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "step"):
+            yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    return list(visit(ast.parse(source), "<module>"))
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd(b)\n") == ["os"]
 
@@ -108,3 +124,20 @@ def test_the_check_sees_an_indented_json_call():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_passes_no_indent_to_json(path):
     assert indented_json_calls(path.read_text()) == []
+
+
+def test_the_check_sees_a_call_of_step_with_an_order():
+    source = (
+        "def f():\n    step(c, b, order=o)\n    step(c, b)\n"
+        "def g():\n    def h():\n        semantics.step(c, b, order=())\n"
+        "step(c, b, order=x)\nother(c, order=x)\n"
+    )
+    assert order_passing_callers(source) == ["f", "h", "<module>"]
+
+
+def test_only_take_passes_an_order_to_step():
+    callers = [
+        (path.name, caller)
+        for path in sorted(SRC.glob("*.py")) for caller in order_passing_callers(path.read_text())
+    ]
+    assert callers == [("semantics.py", "take")]

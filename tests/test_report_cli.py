@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from filesafe import (
     validate_trace,
 )
 from filesafe import semantics
-from filesafe.cli import main
+from filesafe.cli import build_parser, main
 from filesafe.machine import Ctrl, HoleOpLeft, HoleOpRight, is_final
 from filesafe.report import (
     decode,
@@ -42,7 +43,7 @@ from filesafe.report import (
     trace_from_obj,
     trace_to_obj,
 )
-from filesafe.syntax import BinOp, Var
+from filesafe.syntax import BinOp, Seq, Var
 
 from conftest import CORPUS, corpus_case
 
@@ -338,6 +339,39 @@ def test_steps_not_on_offer_raise_spec_error(obj):
         trace_from_obj(obj)
 
 
+SKIP_SKIP = [{"node": "skip"}, {"node": "stmt", "atom": 0},
+             {"node": "fork", "branches": [1, 1]}]  # fork {skip, skip}, row 2
+
+
+@pytest.mark.parametrize("rows", [
+    # forkif {(1, fork {skip, skip})}
+    [*SKIP_SKIP, INT, {"node": "forkif", "arms": [[3, 2]]}],
+    # forkfor {fork {skip, skip}}
+    [*SKIP_SKIP, {"node": "forkfor", "body": 2}],
+    # fork {if 1 then fork {skip, skip} else skip}
+    [*SKIP_SKIP, INT, {"node": "if", "cond": 3, "then": 2, "else": 0},
+     {"node": "stmt", "atom": 4}, {"node": "fork", "branches": [5]}],
+], ids=["forkif", "forkfor", "through-if"])
+def test_a_fork_inside_a_fork_is_rejected_at_decode(rows):
+    with pytest.raises(SpecError, match="may not hold another fork"):
+        decode(rows)
+    steps = [["forkif", None], ["fork", [[0, 0]]], ["if-true", None],
+             ["fork", [[0, 0], [1, 0]]], ["skip", None], ["skip", None]]
+    with pytest.raises(SpecError, match="may not hold another fork"):
+        trace_from_obj(_witness(nodes=rows, files={}, steps=steps, outcome="final"))
+
+
+def test_the_fork_check_visits_each_shared_row_once():
+    # 30 `seq` rows, each holding the one before twice, stand for 2^30
+    # forks; the check reads each row once.
+    rows = [*SKIP_SKIP, *({"node": "seq", "first": i, "second": i} for i in range(2, 32))]
+    started = time.perf_counter()
+    assert type(decode(rows)[-1]) is Seq
+    with pytest.raises(SpecError):
+        decode([*rows, {"node": "forkfor", "body": len(rows) - 1}])
+    assert time.perf_counter() - started < 0.5
+
+
 # ---------------------------------------------------------------------------
 # Human-readable formatting
 
@@ -409,6 +443,21 @@ def test_check_exit_codes_cover_all_verdicts(capsys):
     assert main(check_argv("loop", "--max-steps", "3")) == 2
     out = capsys.readouterr().out
     assert "verdict: unknown" in out and "exhausted: steps" in out
+
+
+def test_a_later_call_sees_no_option_of_an_earlier_one(tmp_path, capsys):
+    # One parser serves every `main` call in a process.
+    def call(argv):
+        code = main(argv)
+        return code, re.sub(r"wall time: .*", "", capsys.readouterr().out)
+
+    run = ["run", *check_argv("fork_race")[1:]]
+    check = check_argv("open_twice")
+    for argv, extra in ((run, ["--seed", "3"]), (check, ["--json", str(tmp_path / "r.json")])):
+        build_parser.cache_clear()
+        fresh = call(argv)
+        assert call(argv + extra) != fresh
+        assert call(argv) == fresh
 
 
 def test_check_text_report_shows_the_witness(capsys):
