@@ -69,11 +69,7 @@ def _add_common(sub):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first call and shared by later ones.
-
-    Parsing leaves the parser as it was, so one `main` call sees no option
-    of an earlier one, and an import builds nothing.
-    """
+    """The command line parser: built on the first call, not at import, then shared."""
     parser = _ArgumentParser(prog="filesafe")
     subs = parser.add_subparsers(
         dest="command", required=True, parser_class=_ArgumentParser,

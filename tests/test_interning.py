@@ -1,4 +1,4 @@
-"""Hash-consing: each distinct node, frame, choice and configuration is one object.
+"""Hash-consing: each distinct node, frame, rule instance and configuration is one object.
 
 Every class call goes through `syntax._INTERNED`, so building a value
 again from equal fields, decoding it from a report, copying or
@@ -60,7 +60,7 @@ def random_run(seed: int):
 
 
 def values_of(trace):
-    """Every interned value in `trace`: configurations, stores, frames, nodes and choices."""
+    """Every interned value in `trace`: configurations, stores, frames, nodes, rule instances."""
     stack = [trace.start, trace.steps]
     while stack:
         value = stack.pop()

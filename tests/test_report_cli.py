@@ -60,9 +60,11 @@ def test_every_corpus_body_round_trips():
 
 
 def _obj(trace, case):
-    """The JSON object of `trace`, a run of `case`, through JSON text."""
+    """The JSON object of `trace`, a run of `case`, through JSON text, which keeps it equal."""
     obj = trace_to_obj(trace, case.bounds(), read_mode=case.read_mode, truthy=False)
-    return json.loads(json.dumps(obj))
+    read_back = json.loads(json.dumps(obj))
+    assert read_back == obj
+    return read_back
 
 
 def test_choice_round_trips():
