@@ -4,7 +4,8 @@ A configuration is a flat control sequence of frames plus a variable
 environment, a per-file open/closed status table and a virtual file
 store (immutable contents, one read cursor per file).  The control head
 is the next thing to execute; the frames behind it are either further
-work or holes waiting for a value.
+work or holes waiting for a value.  A hole is the node it rebuilds, with
+`HOLE` in place of the operand being evaluated, and `plug` fills it.
 
 Everything here is immutable and hash-consed: frames, file stores and
 configurations subclass `syntax.Interned`, which makes each a frozen
@@ -22,10 +23,7 @@ import sys
 from typing import Iterable, Mapping
 
 from .errors import MissingFileError, SpecError, UnknownFileError
-from .syntax import (
-    Assign, Atom, AtomStmt, BinOp, If, IntLit, Interned, Mode, Program, ReadAt,
-    Stmt, Var,
-)
+from .syntax import Atom, AtomStmt, IntLit, Interned, Mode, Program, Stmt
 
 OPEN = "o"
 CLOSED = "c"
@@ -40,38 +38,21 @@ class Ctrl(Interned):
     item: Atom | Stmt
 
 
-class HoleOpRight(Interned):
-    """`? op right`: the left operand is being evaluated."""
-
-    op: str
-    right: Atom
+class _Hole(Interned):
+    """The type of `HOLE`, the slot of a hole frame's node that awaits a value."""
 
 
-class HoleOpLeft(Interned):
-    """`left op ?`: the right operand is being evaluated."""
-
-    left: int
-    op: str
+HOLE = _Hole()
 
 
-class HoleAssign(Interned):
-    """`target = ?`: the assigned value is being evaluated."""
+class Hole(Interned):
+    """An operand being evaluated inside `node`, which holds `HOLE` in its place.
 
-    target: str
+    `node` is the `BinOp`, `Assign`, `If` or `ReadAt` that the operand's
+    value completes, and `HOLE` is one of its direct fields.
+    """
 
-
-class HoleIf(Interned):
-    """`if ? then .. else ..`: the guard is being evaluated."""
-
-    then_body: Atom | Stmt
-    else_body: Atom | Stmt
-
-
-class HoleRead(Interned):
-    """`target = read(file, ?)`: the position is being evaluated."""
-
-    target: str
-    file: str
+    node: Atom
 
 
 class Unit(Interned):
@@ -84,20 +65,17 @@ class Value(Interned):
     n: int
 
 
-Frame = Ctrl | HoleOpRight | HoleOpLeft | HoleAssign | HoleIf | HoleRead | Unit | Value
+Frame = Ctrl | Hole | Unit | Value
 
 _UNIT = Unit()
 
-# What each hole frame stands for, given the atom that fills its hole:
-# `normalize_control` plugs in a value, and the report printer plugs in
-# the variable `_`.
-PLUG = {
-    HoleOpRight: lambda hole, atom: BinOp(hole.op, atom, hole.right),
-    HoleOpLeft: lambda hole, atom: BinOp(hole.op, IntLit(hole.left), atom),
-    HoleAssign: lambda hole, atom: Assign(Var(hole.target), atom),
-    HoleIf: lambda hole, atom: If(atom, hole.then_body, hole.else_body),
-    HoleRead: lambda hole, atom: ReadAt(hole.target, hole.file, atom),
-}
+
+def plug(hole: Hole, atom: Atom) -> Atom:
+    """The node of `hole` with `atom`, a value or the printer's `_`, in place of `HOLE`."""
+    node = hole.node
+    values = [*vars(node).values()]
+    values[values.index(HOLE)] = atom
+    return type(node)(*values)
 
 
 def ctrl(item: Atom | Stmt) -> Ctrl:
@@ -208,12 +186,11 @@ def normalize_control(frames: Iterable[Frame]) -> tuple[Frame, ...]:
         if isinstance(head, Value):
             if len(frames) == 1:
                 return tuple(frames)
-            plug = PLUG.get(type(frames[1]))
-            if plug is None:
+            if type(frames[1]) is Hole:
+                frames[:2] = [Ctrl(plug(frames[1], IntLit(head.n)))]
+            else:
                 # Unconsumed result of an expression statement.
                 frames.pop(0)
-            else:
-                frames[:2] = [Ctrl(plug(frames[1], IntLit(head.n)))]
             continue
         if isinstance(head, Unit) and len(frames) > 1:
             frames.pop(0)

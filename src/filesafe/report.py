@@ -18,9 +18,7 @@ from itertools import cycle
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import SpecError
-from .machine import (
-    PLUG, Ctrl, HoleIf, Unit, Value, initial_config, load_fs_spec,
-)
+from .machine import Ctrl, Hole, Unit, Value, initial_config, load_fs_spec, plug
 from .semantics import _OPS, Bounds, ReadMode, RuleInstance, take
 from .syntax import (
     And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Mode,
@@ -372,15 +370,12 @@ def trace_from_obj(obj) -> Trace:
 def format_frame(frame) -> str:
     if isinstance(frame, Ctrl):
         return format_node(frame.item)
-    if isinstance(frame, HoleIf):
-        # Not PLUG's `if`: the branches print bare, not by the printer's
-        # branch rule, and the `/1` trace digest of `bools` pins that text.
-        return (
-            f"if _ then {format_node(frame.then_body)} "
-            f"else {format_node(frame.else_body)}"
-        )
-    plug = PLUG.get(type(frame))
-    if plug is not None:
+    if isinstance(frame, Hole):
+        node = frame.node
+        if isinstance(node, If):
+            # Not the printer's `if`: the branches print bare, not by its
+            # branch rule, and the `/1` trace digest of `bools` pins that text.
+            return f"if _ then {format_node(node.then_body)} else {format_node(node.else_body)}"
         # The hole prints as the variable `_`, so the printer adds parentheses.
         return format_node(plug(frame, Var("_")))
     if isinstance(frame, Unit):

@@ -41,9 +41,8 @@ import operator
 from dataclasses import dataclass
 
 from .machine import (
-    CLOSED, OPEN, Configuration, Ctrl, FileStore, HoleAssign, HoleIf,
-    HoleOpLeft, HoleOpRight, HoleRead, Value, ctrl, env_bind, env_get,
-    normalize_control, set_status, status_of,
+    CLOSED, HOLE, OPEN, Configuration, Ctrl, FileStore, Hole, Value, ctrl,
+    env_bind, env_get, normalize_control, set_status, status_of,
 )
 from .syntax import (
     And, Assign, AtomStmt, BinOp, Fork, ForkFor, ForkIf, If, IntLit, Interned,
@@ -259,12 +258,12 @@ def step(
             if not isinstance(left, IntLit):
                 return [succ(
                     "op-freeze-left",
-                    [ctrl(left), HoleOpRight(op, right), *rest],
+                    [ctrl(left), Hole(BinOp(op, HOLE, right)), *rest],
                 )]
             if not isinstance(right, IntLit):
                 return [succ(
                     "op-freeze-right",
-                    [ctrl(right), HoleOpLeft(left.n, op), *rest],
+                    [ctrl(right), Hole(BinOp(op, left, HOLE)), *rest],
                 )]
             result = _OPS[op](left.n, right.n)
             if result is None:
@@ -281,7 +280,7 @@ def step(
             if not isinstance(value, IntLit):
                 return [succ(
                     "assign-freeze",
-                    [ctrl(value), HoleAssign(name), *rest],
+                    [ctrl(value), Hole(Assign(item.target, HOLE)), *rest],
                 )]
             return [succ(
                 "assign-apply",
@@ -293,7 +292,7 @@ def step(
             if not isinstance(cond, IntLit):
                 return [succ(
                     "if-freeze",
-                    [ctrl(cond), HoleIf(then_body, else_body), *rest],
+                    [ctrl(cond), Hole(If(HOLE, then_body, else_body)), *rest],
                 )]
             if cond.n == 1 or (truthy and cond.n != 0):
                 return [succ("if-true", [ctrl(then_body), *rest])]
@@ -348,7 +347,7 @@ def step(
                 return []
             if not isinstance(pos, IntLit):
                 # Position expressions follow the operand freeze discipline.
-                return [succ("read-at", [ctrl(pos), HoleRead(target, f), *rest])]
+                return [succ("read-at", [ctrl(pos), Hole(ReadAt(target, f, HOLE)), *rest])]
             if status_of(config, f) != OPEN or not config.store.has(f):
                 return []
             if pos.n < 0:

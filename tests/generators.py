@@ -14,11 +14,8 @@ from filesafe.machine import (
     Configuration,
     Ctrl,
     FileStore,
-    HoleAssign,
-    HoleIf,
-    HoleOpLeft,
-    HoleOpRight,
-    HoleRead,
+    HOLE,
+    Hole,
     make_configuration,
 )
 from filesafe.syntax import (
@@ -130,20 +127,22 @@ def random_safe_config(rng: random.Random) -> Configuration:
     for _ in range(rng.randrange(0, 3)):
         roll = rng.random()
         if roll < 0.25:
-            frames.append(HoleOpRight(rng.choice(OPS), random_expr(rng)))
+            frames.append(Hole(BinOp(rng.choice(OPS), HOLE, random_expr(rng))))
         elif roll < 0.40:
-            frames.append(HoleOpLeft(rng.randrange(-2, 4), rng.choice(OPS)))
+            left = IntLit(rng.randrange(-2, 4))
+            frames.append(Hole(BinOp(rng.choice(OPS), left, HOLE)))
         elif roll < 0.55:
-            frames.append(HoleAssign(rng.choice(VARS)))
+            frames.append(Hole(Assign(Var(rng.choice(VARS)), HOLE)))
         elif roll < 0.70:
             frames.append(
-                HoleIf(
+                Hole(If(
+                    HOLE,
                     random_command(rng, Mode.SAFE, 1),
                     random_command(rng, Mode.SAFE, 1),
-                )
+                ))
             )
         elif roll < 0.80:
-            frames.append(HoleRead(rng.choice(VARS), rng.choice(FILES)))
+            frames.append(Hole(ReadAt(rng.choice(VARS), rng.choice(FILES), HOLE)))
         else:
             frames.append(Ctrl(random_command(rng, Mode.SAFE)))
     env = {v: rng.randrange(-1, 4) for v in rng.sample(VARS, rng.randrange(0, 3))}

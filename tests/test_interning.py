@@ -18,8 +18,7 @@ from filesafe import (
 )
 from filesafe.cli import main
 from filesafe.machine import (
-    Configuration, Ctrl, FileStore, HoleAssign, HoleIf, HoleOpLeft, HoleOpRight, HoleRead,
-    Unit, Value, make_configuration,
+    HOLE, Configuration, Ctrl, FileStore, Hole, Unit, Value, make_configuration,
 )
 from filesafe.report import _TAGS, decode, encode, trace_from_obj, trace_to_obj
 from filesafe.semantics import Bounds
@@ -28,7 +27,7 @@ from filesafe.syntax import _INTERNED, Interned
 from generators import random_program, random_safe_config, random_store
 
 B = Bounds(forkfor_max=2)
-FRAMES = {Ctrl, HoleOpRight, HoleOpLeft, HoleAssign, HoleIf, HoleRead, Unit, Value}
+FRAMES = {Ctrl, Hole, Unit, Value}
 INTERNED = sorted(
     {*_TAGS, *FRAMES, Configuration, FileStore, RuleInstance},
     key=lambda cls: cls.__name__,
@@ -123,9 +122,11 @@ def test_copies_and_unpickled_values_are_the_original():
 
 
 def test_decoding_an_encoded_value_gives_the_value():
+    # A hole frame's node holds `HOLE`, which no node table row can; the
+    # report codec never meets one, since a witness stores no frames.
     for trace in TRACES:
         for value in values_of(trace):
-            if type(value) in _TAGS:
+            if type(value) in _TAGS and HOLE not in vars(value).values():
                 assert decode(json.loads(json.dumps(encode(value))))[-1] is value
 
 

@@ -9,6 +9,7 @@ from filesafe import (
     OPEN,
     Mode,
     MissingFileError,
+    ReadMode,
     SpecError,
     UnknownFileError,
     canonical_key,
@@ -17,25 +18,26 @@ from filesafe import (
     load_fs_spec,
     make_configuration,
     parse_program,
+    run_single,
 )
 from filesafe.machine import (
     Ctrl,
     FileStore,
-    HoleAssign,
-    HoleIf,
-    HoleOpLeft,
-    HoleOpRight,
-    HoleRead,
+    HOLE,
+    Hole,
     Unit,
     Value,
     env_bind,
     env_get,
     normalize_control,
+    plug,
     status_of,
 )
-from filesafe.syntax import Assign, AtomStmt, BinOp, If, IntLit, ReadAt, Skip, Var
+from filesafe.syntax import Assign, AtomStmt, BinOp, If, IntLit, ReadAt, Skip, Var, walk
 
+from conftest import CORPUS
 from generators import random_safe_config
+from test_report_writer import random_trace
 
 EMPTY = FileStore.of({})
 F_STORE = FileStore.of({"f": (5, 6)})
@@ -63,25 +65,26 @@ def test_unconsumed_values_are_dropped():
 
 
 def test_values_plug_operator_holes():
-    out = normalize_control([Ctrl(IntLit(2)), HoleOpRight("+", Var("y"))])
+    out = normalize_control([Ctrl(IntLit(2)), Hole(BinOp("+", HOLE, Var("y")))])
     assert out == (Ctrl(BinOp("+", IntLit(2), Var("y"))),)
-    out = normalize_control([Ctrl(IntLit(3)), HoleOpLeft(2, "+")])
+    out = normalize_control([Ctrl(IntLit(3)), Hole(BinOp("+", IntLit(2), HOLE))])
     assert out == (Ctrl(BinOp("+", IntLit(2), IntLit(3))),)
 
 
 def test_values_plug_assign_if_and_read_holes():
-    out = normalize_control([Ctrl(IntLit(5)), HoleAssign("x")])
+    out = normalize_control([Ctrl(IntLit(5)), Hole(Assign(Var("x"), HOLE))])
     assert out == (Ctrl(Assign(Var("x"), IntLit(5))),)
-    out = normalize_control([Ctrl(IntLit(1)), HoleIf(Skip(), Skip())])
+    out = normalize_control([Ctrl(IntLit(1)), Hole(If(HOLE, Skip(), Skip()))])
     assert out == (Ctrl(If(IntLit(1), Skip(), Skip())),)
-    out = normalize_control([Ctrl(IntLit(2)), HoleRead("x", "f")])
+    out = normalize_control([Ctrl(IntLit(2)), Hole(ReadAt("x", "f", HOLE))])
     assert out == (Ctrl(ReadAt("x", "f", IntLit(2))),)
 
 
 def test_plugging_stops_at_the_rebuilt_atom():
     # The plugged-in atom still needs an evaluation step, so later holes wait.
-    frames = [Ctrl(IntLit(3)), HoleOpLeft(4, "*"), HoleAssign("x")]
-    assert normalize_control(frames) == (Ctrl(BinOp("*", IntLit(4), IntLit(3))), HoleAssign("x"))
+    assign = Hole(Assign(Var("x"), HOLE))
+    frames = [Ctrl(IntLit(3)), Hole(BinOp("*", IntLit(4), HOLE)), assign]
+    assert normalize_control(frames) == (Ctrl(BinOp("*", IntLit(4), IntLit(3))), assign)
 
 
 def test_dropping_cascades_past_several_values():
@@ -91,6 +94,48 @@ def test_dropping_cascades_past_several_values():
 
 def test_trailing_lone_value_stays():
     assert normalize_control([Ctrl(IntLit(9))]) == (Value(9),)
+
+
+def holds_hole(node) -> bool:
+    """Whether a field of `node`, or an item of a tuple field, is `HOLE`."""
+    values = list(vars(node).values())
+    for value in values:  # grows by the items of tuple fields
+        if type(value) is tuple:
+            values.extend(value)
+    return HOLE in values
+
+
+def test_hole_sits_in_one_direct_field_of_a_hole_frame_only():
+    # Over corpus runs and 2,000 random runs: a hole frame's node holds
+    # `HOLE` in exactly one direct field, and no node of a control item or
+    # of a plugged hole holds it anywhere.
+    traces = [
+        run_single(case.config(), case.bounds(), seed=seed, read_mode=case.read_mode)
+        for case in CORPUS for seed in (None, 0, 1, 2)
+    ]
+    for seed in range(2000):
+        rng = random.Random(seed)
+        read_mode, truthy = rng.choice(list(ReadMode)), rng.random() < 0.25
+        traces.append(random_trace(rng, read_mode, truthy))
+    seen, slots = set(), set()
+    for trace in traces:
+        for config in (trace.start, *(config for _, config in trace.steps)):
+            for frame in set(config.control) - seen:
+                seen.add(frame)
+                if type(frame) is Hole:
+                    node = frame.node
+                    holes = [name for name in node.__match_args__ if getattr(node, name) is HOLE]
+                    assert len(holes) == 1, frame
+                    slots.add((type(node), *holes))
+                    item = plug(frame, IntLit(0))
+                elif type(frame) is Ctrl:
+                    item = frame.item
+                else:
+                    continue
+                assert not any(map(holds_hole, walk(item))), frame
+    assert slots == {
+        (BinOp, "left"), (BinOp, "right"), (Assign, "value"), (If, "cond"), (ReadAt, "pos"),
+    }
 
 
 # ---------------------------------------------------------------------------

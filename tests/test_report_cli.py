@@ -31,7 +31,7 @@ from filesafe import (
 )
 from filesafe import semantics
 from filesafe.cli import build_parser, main
-from filesafe.machine import Ctrl, HoleOpLeft, HoleOpRight, is_final
+from filesafe.machine import HOLE, Ctrl, Hole, is_final
 from filesafe.report import (
     decode,
     encode,
@@ -43,7 +43,7 @@ from filesafe.report import (
     trace_from_obj,
     trace_to_obj,
 )
-from filesafe.syntax import BinOp, Seq, Var
+from filesafe.syntax import BinOp, IntLit, Seq, Var
 
 from conftest import CORPUS, corpus_case
 
@@ -378,11 +378,11 @@ def test_the_fork_check_visits_each_shared_row_once():
 # Human-readable formatting
 
 def test_frame_and_choice_formatting():
-    assert format_frame(HoleOpLeft(2, "+")) == "2 + _"
+    assert format_frame(Hole(BinOp("+", IntLit(2), HOLE))) == "2 + _"
     sum_ = BinOp("+", Var("b"), Var("c"))
-    assert format_frame(HoleOpRight("*", sum_)) == "_ * (b + c)"
-    assert format_frame(HoleOpRight("+", sum_)) == "_ + (b + c)"
-    assert format_frame(HoleOpRight("+", BinOp("*", Var("b"), Var("c")))) == "_ + b * c"
+    assert format_frame(Hole(BinOp("*", HOLE, sum_))) == "_ * (b + c)"
+    assert format_frame(Hole(BinOp("+", HOLE, sum_))) == "_ + (b + c)"
+    assert format_frame(Hole(BinOp("+", HOLE, BinOp("*", Var("b"), Var("c"))))) == "_ + b * c"
     assert format_choice(RuleInstance("read-nd")) == "-"
     assert format_choice(RuleInstance("forkfor", 2)) == "k=2"
     assert format_choice(RuleInstance("read-nd", 1)) == "n=1"
@@ -445,6 +445,15 @@ def test_check_exit_codes_cover_all_verdicts(capsys):
     assert main(check_argv("loop", "--max-steps", "3")) == 2
     out = capsys.readouterr().out
     assert "verdict: unknown" in out and "exhausted: steps" in out
+
+
+def test_a_variable_named_underscore_checks_safe(tmp_path, capsys):
+    # `_` is an identifier, not the hole: the value 3 fills the left
+    # operand alone, so x is 10 and the `else` branch is never taken.
+    source = tmp_path / "under.wf"
+    source.write_text("_ = 7; x = (y = 3) + _; if x == 10 then skip else 1 / 0\n")
+    assert main(["check", str(source), "--mode", "whilef"]) == 0
+    assert "verdict: safe" in capsys.readouterr().out
 
 
 def test_a_later_call_sees_no_option_of_an_earlier_one(tmp_path, capsys):

@@ -24,11 +24,9 @@ import pytest
 
 from filesafe import run_single
 from filesafe.cli import main
-from filesafe.machine import (
-    Ctrl, HoleAssign, HoleIf, HoleOpLeft, HoleOpRight, HoleRead, Unit, Value,
-)
+from filesafe.machine import HOLE, Ctrl, Hole, Unit, Value
 from filesafe.report import _TAGS, summarize_control, trace_from_obj, trace_to_obj
-from filesafe.syntax import Assign
+from filesafe.syntax import Assign, BinOp, If, ReadAt
 
 from conftest import CORPUS
 from test_report_cli import check_argv
@@ -203,10 +201,18 @@ def trace_texts(case) -> list[str]:
 # written out in full where it occurs, and each step with the summary of
 # its control.
 
-FRAME_TAGS = {
-    Ctrl: "ctrl", HoleOpRight: "hole-op-right", HoleOpLeft: "hole-op-left",
-    HoleAssign: "hole-assign", HoleIf: "hole-if", HoleRead: "hole-read",
-    Unit: "unit", Value: "value",
+FRAME_TAGS = {Ctrl: "ctrl", Unit: "unit", Value: "value"}
+# The `/1` tag of a hole frame, by its node's class and the field that
+# holds `HOLE`, and the keys and values of the node's other fields that
+# the `/1` frame kept, in its key order.
+HOLE_FRAMES = {
+    (BinOp, "left"): ("hole-op-right", lambda n: [("op", n.op), ("right", v1_value(n.right))]),
+    (BinOp, "right"): ("hole-op-left", lambda n: [("left", n.left.n), ("op", n.op)]),
+    (Assign, "value"): ("hole-assign", lambda n: [("target", n.target.name)]),
+    (If, "cond"): ("hole-if", lambda n: [
+        ("then", v1_value(n.then_body)), ("else", v1_value(n.else_body)),
+    ]),
+    (ReadAt, "pos"): ("hole-read", lambda n: [("target", n.target), ("file", n.file)]),
 }
 # A choice's tag and its one key, by the rule that made it; a null choice
 # is tagged "unique" and has no key.
@@ -220,7 +226,22 @@ TAGGED = {
 }
 
 
+def hole_frame(hole):
+    """The `/1` tag of the hole frame `hole`, and its (key, value) pairs."""
+    node = hole.node
+    slot = next(name for name in node.__match_args__ if getattr(node, name) is HOLE)
+    tag, items = HOLE_FRAMES[type(node), slot]
+    return tag, items(node)
+
+
+def frame_tag(frame):
+    return ("frame", hole_frame(frame)[0]) if type(frame) is Hole else TAGGED[type(frame)]
+
+
 def v1_value(x):
+    if type(x) is Hole:
+        tag, items = hole_frame(x)
+        return {"frame": tag, **dict(items)}
     if type(x) is tuple:
         return [v1_value(v) for v in x]
     if type(x) not in TAGGED:
@@ -303,9 +324,10 @@ def test_golden_traces_cover_every_tag():
             seen.update(next(iter(row.items())) for row in obj["nodes"])
             trace = trace_from_obj(obj)
             for rule_instance, config in ((None, trace.start), *trace.steps):
-                seen.update(TAGGED[type(frame)] for frame in config.control)
+                seen.update(map(frame_tag, config.control))
                 if rule_instance is not None:
                     seen.add(("choice", v1_choice(rule_instance)["choice"]))
     assert seen == TAGS
     choice_tags = {"unique", *(tag for tag, _ in CHOICE_TAGS.values())}
-    assert TAGS == set(TAGGED.values()) | {("choice", tag) for tag in choice_tags}
+    hole_tags = {("frame", tag) for tag, _ in HOLE_FRAMES.values()}
+    assert TAGS == set(TAGGED.values()) | hole_tags | {("choice", tag) for tag in choice_tags}

@@ -24,11 +24,8 @@ from filesafe.machine import (
     OPEN,
     Ctrl,
     FileStore,
-    HoleAssign,
-    HoleIf,
-    HoleOpLeft,
-    HoleOpRight,
-    HoleRead,
+    HOLE,
+    Hole,
     Unit,
     Value,
     env_get,
@@ -109,13 +106,13 @@ def test_op_apply_on_literals():
 def test_op_freezes_left_operand_first():
     inst, c = only(step(config([Ctrl(BinOp("+", Var("x"), IntLit(1)))], env={"x": 2}), B))
     assert inst.rule == "op-freeze-left"
-    assert c.control == (Ctrl(Var("x")), HoleOpRight("+", IntLit(1)))
+    assert c.control == (Ctrl(Var("x")), Hole(BinOp("+", HOLE, IntLit(1))))
 
 
 def test_op_freezes_right_operand_second():
     inst, c = only(step(config([Ctrl(BinOp("+", IntLit(2), Var("y")))], env={"y": 3}), B))
     assert inst.rule == "op-freeze-right"
-    assert c.control == (Ctrl(Var("y")), HoleOpLeft(2, "+"))
+    assert c.control == (Ctrl(Var("y")), Hole(BinOp("+", IntLit(2), HOLE)))
 
 
 def test_operator_evaluation_pipeline():
@@ -196,7 +193,7 @@ def test_assign_apply_binds_and_keeps_the_value():
 def test_assign_freezes_compound_values():
     inst, c = only(step(config([Ctrl(Assign(Var("x"), BinOp("+", IntLit(1), IntLit(2))))]), B))
     assert inst.rule == "assign-freeze"
-    assert c.control == (Ctrl(BinOp("+", IntLit(1), IntLit(2))), HoleAssign("x"))
+    assert c.control == (Ctrl(BinOp("+", IntLit(1), IntLit(2))), Hole(Assign(Var("x"), HOLE)))
 
 
 def test_assignment_value_feeds_an_enclosing_expression():
@@ -204,6 +201,15 @@ def test_assignment_value_feeds_an_enclosing_expression():
     c = config([Ctrl(Assign(Var("y"), BinOp("+", Assign(Var("x"), IntLit(5)), IntLit(1))))])
     _, final = run_to_normal(c)
     assert env_get(final, "x") == 5 and env_get(final, "y") == 6
+
+
+def test_a_variable_named_underscore_is_not_a_hole():
+    # _ = 7; x = (y = 3) + _ : the value 3 fills the left operand alone.
+    set_under = AtomStmt(Assign(Var("_"), IntLit(7)))
+    sum_ = BinOp("+", Assign(Var("y"), IntLit(3)), Var("_"))
+    rules, final = run_to_normal(config([Ctrl(Seq(set_under, AtomStmt(Assign(Var("x"), sum_))))]))
+    assert "op-freeze-left" in rules and is_final(final)
+    assert env_get(final, "x") == 10 and env_get(final, "y") == 3
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,7 @@ def test_if_true_and_if_false():
 def test_if_freezes_compound_guards():
     inst, c = only(step(config([Ctrl(If(Var("b"), Skip(), Skip()))], env={"b": 1}), B))
     assert inst.rule == "if-freeze"
-    assert c.control == (Ctrl(Var("b")), HoleIf(Skip(), Skip()))
+    assert c.control == (Ctrl(Var("b")), Hole(If(HOLE, Skip(), Skip())))
 
 
 def test_nonboolean_guard_is_stuck():
@@ -315,7 +321,7 @@ def test_positioned_read_freezes_its_position():
     c = config([Ctrl(ReadAt("x", "f", Var("i")))], env={"i": 1}, status={"f": OPEN}, store=F56, mode=Mode.SAFE)
     inst, after = only(step(c, B))
     assert inst.rule == "read-at"
-    assert after.control == (Ctrl(Var("i")), HoleRead("x", "f"))
+    assert after.control == (Ctrl(Var("i")), Hole(ReadAt("x", "f", HOLE)))
     _, final = run_to_normal(after)
     assert env_get(final, "x") == 6
 
