@@ -9,7 +9,8 @@ with `explore`.  `normal_form_traces` reads its traces off the same tree
 unfolding (`_unfold`), which shares nothing with the graph search (`_bfs`).
 
 `run_single` and `embed_trace` follow one path through the step relation
-(`_run`), differing only in how they pick a successor.  `relax_program`
+(`_run`), differing only in how they take each step: `embed_trace`
+replays recorded choices through `take`.  `relax_program`
 and `embed_trace` connect the two dialects: a safe program forgets its
 read positions to become a whilef program, and any safe trace replays
 inside the relaxed program by feeding the forgotten positions back
@@ -25,10 +26,10 @@ from itertools import count
 from operator import itemgetter
 
 from .errors import InvalidTraceError, ModeError, SearchBoundError
-from .machine import Configuration, canonical_key, ctrl, is_final, make_configuration
+from .machine import Configuration, Ctrl, canonical_key, ctrl, is_final, make_configuration
 from .semantics import Bounds, ReadMode, RuleInstance, step, take
 from .syntax import (
-    And, BinOp, IntLit, Mode, Or, Program, ReadAt, ReadND, Seq, make_program, rebuild,
+    And, BinOp, Fork, IntLit, Mode, Or, Program, ReadAt, ReadND, Seq, make_program, rebuild,
 )
 
 OUTCOME_FINAL = "final"
@@ -288,13 +289,19 @@ def run_single(
     cutoff when max_steps_per_path ran out.
     """
     pick = itemgetter(0) if seed is None else random.Random(seed).choice
-    return _run(c0, bounds, pick, read_mode, truthy)
+
+    def next_step(config):
+        successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
+        return pick(successors) if successors else None
+
+    return _run(c0, bounds, next_step)
 
 
-def _run(c0, bounds, pick, read_mode, truthy) -> Trace:
-    """The maximal run from `c0` that takes `pick(successors)` at every step.
+def _run(c0, bounds, next_step) -> Trace:
+    """The maximal run from `c0` that takes the step `next_step(config)` from each configuration.
 
-    Tagged final or stuck where it ends, or cutoff once
+    `next_step` gives a (label, successor) pair, or None where the run is
+    stuck.  Tagged final or stuck where it ends, or cutoff once
     max_steps_per_path steps are taken short of a final configuration.
     """
     config = c0
@@ -302,10 +309,9 @@ def _run(c0, bounds, pick, read_mode, truthy) -> Trace:
     while not is_final(config):
         if len(steps) >= bounds.max_steps_per_path:
             return Trace(c0, tuple(steps), OUTCOME_CUTOFF)
-        successors = step(config, bounds, read_mode=read_mode, truthy=truthy)
-        if not successors:
+        entry = next_step(config)
+        if entry is None:
             return Trace(c0, tuple(steps), OUTCOME_STUCK)
-        entry = pick(successors)
         steps.append(entry)
         config = entry[1]
     return Trace(c0, tuple(steps), OUTCOME_FINAL)
@@ -393,8 +399,7 @@ def embed_trace(trace: Trace, relaxed: Program) -> Trace:
         [ctrl(relaxed.body)], trace.start.env, trace.start.status,
         trace.start.store, Mode.WHILEF,
     )
-    embedded = _run(start, bounds, lambda successors: _replay(successors, choices),
-                    ReadMode.ORACLE, False)
+    embedded = _run(start, bounds, lambda config: _replay(config, choices, bounds))
     if embedded.outcome == OUTCOME_CUTOFF:
         raise InvalidTraceError("embedding did not terminate alongside the input")
     if choices:
@@ -404,25 +409,35 @@ def embed_trace(trace: Trace, relaxed: Program) -> Trace:
     return embedded
 
 
-def _replay(successors, choices):
-    """The successor that takes the next recorded choice, where the rule has one.
+def _replay(config, choices, bounds):
+    """The oracle-mode step from `config` under the next recorded choice, or None if stuck.
 
-    Every other rule must be deterministic here.
+    A fork, a forkfor and an oracle read take the next recorded choice
+    (`take`), so a fork lays out the recorded order alone.  Every other
+    rule must be deterministic here.
     """
-    rule = successors[0][0].rule
-    if rule not in ("fork", "forkfor", "read-nd"):
-        if len(successors) != 1:
-            raise InvalidTraceError(f"unexpected nondeterminism in rule {rule!r}")
-        return successors[0]
+    head = config.control[0]
+    if type(head) is Ctrl and type(head.item) is Fork:
+        rule = "fork"  # never stuck: its branches have an order
+    else:
+        successors = step(config, bounds, read_mode=ReadMode.ORACLE)
+        if not successors:
+            return None
+        rule = successors[0][0].rule
+        if rule not in ("forkfor", "read-nd"):
+            if len(successors) != 1:
+                raise InvalidTraceError(f"unexpected nondeterminism in rule {rule!r}")
+            return successors[0]
     if not choices:
         raise InvalidTraceError(f"no recorded choice left for {rule}")
     wanted = choices.popleft()
     if rule == "read-nd" and wanted.rule != rule:
         raise InvalidTraceError("recorded choice is not a read position")
-    for entry in successors:
-        if entry[0] is wanted:
-            return entry
-    raise InvalidTraceError(f"recorded choice {wanted.choice!r} is not available for {rule}")
+    taken = take(config, wanted.rule, wanted.choice, bounds,
+                 read_mode=ReadMode.ORACLE, truthy=False)
+    if taken is None:
+        raise InvalidTraceError(f"recorded choice {wanted.choice!r} is not available for {rule}")
+    return taken
 
 
 def _safe_trace_choices(trace: Trace):

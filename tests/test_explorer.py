@@ -34,9 +34,11 @@ from filesafe import (
     step,
     validate_trace,
 )
+from filesafe import semantics
 from filesafe.machine import Ctrl, FileStore, env_get
 from filesafe.report import format_choice
-from filesafe.syntax import IntLit, ReadAt, ReadND, Seq, AtomStmt
+from filesafe.semantics import take
+from filesafe.syntax import Fork, IntLit, ReadAt, ReadND, Seq, AtomStmt
 
 from conftest import CORPUS, corpus_case, corpus_cases
 from generators import random_program, random_store
@@ -354,6 +356,34 @@ def test_stuck_on_a_negative_position_has_no_counterpart():
     assert trace.outcome == OUTCOME_STUCK
     with pytest.raises(InvalidTraceError):
         embed_trace(trace, relaxed)
+
+
+def test_embedding_replays_the_recorded_fork_order_alone(monkeypatch):
+    # Six copies of a two-atom branch: the full relation has
+    # 12! / 2^6 = 7,484,400 orders at the fork.  The run is built, and
+    # embedded, by laying out the recorded order alone.
+    program = parse_program("open(f); forkfor { x = read(f, 0); skip }; close(f)", Mode.SAFE)
+    bounds = Bounds(forkfor_max=6)
+    order = tuple((b, a) for b in range(6) for a in range(2))
+    config = start = initial_config(program, FileStore.of({"f": (7,)}), {"f": "c"})
+    steps = []
+    while not is_final(config):
+        if type(config.control[0].item) is Fork:
+            entry = take(config, "fork", order, bounds, read_mode=ReadMode.CURSOR, truthy=False)
+        else:
+            entry = step(config, bounds)[-1]  # at the forkfor, the count 6
+        steps.append(entry)
+        config = entry[1]
+    trace = Trace(start, tuple(steps), OUTCOME_FINAL)
+    assert ("forkfor", 6) in [(label.rule, label.choice) for label, _ in steps]
+
+    def lay_out_all(*args, **kwargs):
+        raise AssertionError("embedding laid out every interleaving")
+
+    monkeypatch.setattr(semantics, "enumerate_interleavings", lay_out_all)
+    embedded = embed_trace(trace, relax_program(program))
+    validate_trace(embedded, bounds, read_mode=ReadMode.ORACLE)
+    assert embedded.outcome == OUTCOME_FINAL and len(embedded.steps) == len(trace.steps)
 
 
 # Safe-dialect source run with file f open, the relaxed source it is
