@@ -298,7 +298,7 @@ def run_single(
 
 
 def _run(c0, bounds, next_step) -> Trace:
-    """The maximal run from `c0` that takes the step `next_step(config)` from each configuration.
+    """The maximal run from `c0` that takes the step `next_step(config)` at every step.
 
     `next_step` gives a (label, successor) pair, or None where the run is
     stuck.  Tagged final or stuck where it ends, or cutoff once
