@@ -18,11 +18,11 @@ from filesafe import (
 )
 from filesafe.cli import main
 from filesafe.machine import (
-    HOLE, Configuration, Ctrl, FileStore, Hole, Unit, Value, make_configuration,
+    HOLE, Configuration, Ctrl, FileStore, Hole, Unit, Value, make_configuration, plug,
 )
 from filesafe.report import _TAGS, decode, encode, trace_from_obj, trace_to_obj
 from filesafe.semantics import Bounds
-from filesafe.syntax import _INTERNED, Interned
+from filesafe.syntax import _INTERNED, Assign, BinOp, If, IntLit, Interned, ReadAt, Var
 
 from generators import random_program, random_safe_config, random_store
 
@@ -32,6 +32,14 @@ INTERNED = sorted(
     {*_TAGS, *FRAMES, Configuration, FileStore, RuleInstance},
     key=lambda cls: cls.__name__,
 )
+# One hole frame of each shape the machine pushes, by the operand it awaits.
+HOLE_FRAMES = {
+    "HoleAssign": Hole(Assign(Var("x"), HOLE)),
+    "HoleIf": Hole(If(HOLE, IntLit(1), IntLit(0))),
+    "HoleOpLeft": Hole(BinOp("+", IntLit(2), HOLE)),
+    "HoleOpRight": Hole(BinOp("+", HOLE, Var("y"))),
+    "HoleRead": Hole(ReadAt("x", "f", HOLE)),
+}
 
 
 def fresh(value):
@@ -74,13 +82,27 @@ RUNS = [random_run(seed) for seed in range(60)]
 TRACES = [trace for trace, _ in RUNS]
 
 
-@pytest.mark.parametrize("cls", INTERNED, ids=lambda cls: cls.__name__)
-def test_every_report_class_is_interned_with_identity_equality(cls):
+@pytest.mark.parametrize("cls, frame", [
+    *(pytest.param(cls, None, id=cls.__name__) for cls in INTERNED),
+    *(pytest.param(Hole, frame, id=name) for name, frame in HOLE_FRAMES.items()),
+])
+def test_every_report_class_is_interned_with_identity_equality(cls, frame):
     # A class that missed the intern path, or that gets a generated
     # __eq__/__hash__ back, would silently hash structurally again.
     assert issubclass(cls, Interned)
     assert cls.__eq__ is object.__eq__
     assert cls.__hash__ is object.__hash__
+    if frame is not None:
+        # A hole frame is its node with HOLE in one direct field: the
+        # node's class is interned too, rebuilding the frame gives the
+        # frame, and plugging the hole gives the interned completed node.
+        node = frame.node
+        assert type(node) in INTERNED
+        assert [*vars(node).values()].count(HOLE) == 1
+        assert fresh(frame) is frame
+        assert [f for f in HOLE_FRAMES.values() if f == frame] == [frame]
+        done = plug(frame, IntLit(7))
+        assert fresh(done) is done and IntLit(7) in vars(done).values()
 
 
 def test_a_subclass_is_made_a_frozen_dataclass_with_identity_equality():
